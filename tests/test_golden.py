@@ -1,11 +1,14 @@
-"""Golden trajectories: pinned sha256 hashes of whole-run outputs.
+"""Golden trajectories and sessions: pinned sha256 hashes.
 
-Each case runs `friendcast run --per-actor` for about 2,000 steps and
-hashes `snapshots.csv`, `summary.csv` and `actors.csv`. The per-actor
-table pins every actor's popularity and reputation at every snapshot, so
-a refactor that moves a single bit of the session arithmetic (or of the
-equilibrium it selects) changes a hash. A change that is meant to alter
-the trajectories must say why next to the new hashes.
+Each trajectory case runs `friendcast run --per-actor` for about 2,000
+steps and hashes `snapshots.csv`, `summary.csv` and `actors.csv`. The
+per-actor table pins every actor's popularity and reputation at every
+snapshot, so a change to the session rules or to the equilibrium a
+session selects changes a hash. A last-bit change in a payoff that flips
+no decision leaves those bytes alone, so the session case also hashes the
+raw payoff tensors and post-session states of random small games. A
+change that is meant to alter any of them must say why next to the new
+hashes.
 
 Regenerate after an intended change with
 
@@ -16,9 +19,14 @@ import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from friendcast.cli import main
+from friendcast.game import StrategyProfile, build_payoff_tensor
+from friendcast.knowledge import Ontology
+from friendcast.transfer import TransferParams, execute_session
+from friendcast.world import World
 
 # Off-diagonal entries of +-1 and of both signs, so that correlated
 # beliefs move in both directions and saturate.
@@ -103,6 +111,56 @@ def test_golden_trajectory(name, tmp_path):
     assert run_hashes(name, tmp_path) == GOLDEN[name]
 
 
+GOLDEN_SESSIONS = "0b7ff5aee300cb5e08e78972988bc591c0590e11a0d25993c9a06a976e289973"
+
+
+def session_hash(games=400):
+    """Hash every payoff vector and every canonical session's final state.
+
+    The games mix rates, trust and willingness on their bounds with values
+    inside them, identity and signed ontologies, and both belief modes.
+    """
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(11)
+    for game in range(games):
+        n, a_count = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        n_receivers = int(rng.integers(1, min(n - 1, 4) + 1))
+        trust = rng.uniform(0, 1, (n, n)) if game % 4 else rng.choice([0.0, 0.5, 1.0], (n, n))
+        np.fill_diagonal(trust, 1.0)
+        m = np.eye(a_count) if game % 3 == 0 else rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], (a_count, a_count))
+        np.fill_diagonal(m, 1.0)
+        world = World(
+            knowledge=rng.uniform(0, 1, (n, a_count)),
+            belief=rng.uniform(-1, 1, (n, a_count)),
+            popularity=rng.uniform(0, 1, n),
+            trust=trust,
+            personality=rng.dirichlet([1, 1, 1], n),
+            willingness=rng.choice([0.0, 1.0, rng.uniform()], n),
+            ontology=Ontology(m),
+        )
+        params = TransferParams(
+            remembrance=float(rng.choice([0.0, 1.0, rng.uniform(0.9, 1.0)])),
+            trust_history_weight=float(rng.choice([0.0, 1.0, rng.uniform()])),
+            popularity_decay=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 0.1)])),
+            belief_weight_mode=("transferred", "source")[game % 2],
+        )
+        ids = rng.permutation(n)
+        sender, receivers = int(ids[0]), [int(r) for r in ids[1 : 1 + n_receivers]]
+        index = int(rng.integers(a_count))
+        tensor = build_payoff_tensor(world, sender, receivers, index, params)
+        for profile in StrategyProfile.enumerate_canonical(n_receivers):
+            digest.update(np.array(tensor.payoff(profile)).tobytes())
+            played = world.copy()
+            execute_session(played, sender, receivers, index, profile, params)
+            for state in (played.knowledge, played.belief, played.popularity, played.trust):
+                digest.update(np.ascontiguousarray(state).tobytes())
+    return digest.hexdigest()
+
+
+def test_golden_sessions():
+    assert session_hash() == GOLDEN_SESSIONS
+
+
 if __name__ == "__main__":
     import contextlib
     import tempfile
@@ -111,4 +169,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(sys.stderr):
         hashes = {name: run_hashes(name, Path(scratch)) for name in sorted(CASES)}
     json.dump(hashes, sys.stdout, indent=4)
-    print()
+    print(f"\nGOLDEN_SESSIONS = {session_hash()!r}")
