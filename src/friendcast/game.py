@@ -2,10 +2,12 @@
 
 The sender and the N receivers play a one-shot game: the sender picks
 publish-or-hold, each receiver picks comment-or-stay-silent. Payoffs are
-the utility changes a hypothetical session would cause, so the tensor is
-built by replaying the session on throwaway copies of the world. Profiles
-that comment on an unpublished assertion are infeasible and collapse onto
-the all-hold cell.
+the utility changes a hypothetical session would cause. The tensor is
+built by the star-local session kernel (`transfer.play_star`): it plays
+every cell on a copy of the star's own state, the sender's and receivers'
+rows and their trust columns, and never copies the world. Profiles that
+comment on an unpublished assertion are infeasible and collapse onto the
+all-hold cell.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .transfer import (
-    TransferParams,
-    decay_phase,
-    feedback_phase,
-    forget_everyone,
-    opinions,
-    send_phase,
-)
+from .transfer import TransferParams, play_star
 from .world import World
 
 
@@ -105,47 +100,25 @@ def build_payoff_tensor(
     index: int,
     params: TransferParams,
 ) -> PayoffTensor:
-    """Replay every feasible profile on scratch copies of the world.
+    """Play the all-hold session and every send cell on the star's state.
 
     Forgetting and idle decay run identically inside every hypothetical
     session, so differences between cells isolate the action choices. The
-    input world is never modified. The forget+send stem is shared across
-    the feedback combinations because it does not depend on who responds,
-    and every feedback cell gets the post-forget tuples read from the stem
-    before the send; the result is identical to running each profile's
-    session in full.
+    input world is never modified. Each cell equals the utility deltas
+    `execute_session` reports for its profile, bit for bit, because both
+    run the same kernel.
     """
     receivers = tuple(int(r) for r in receivers)
     if sender in receivers:
         raise ValueError("receivers must be distinct from the sender")
-    participants = [sender, *receivers]
-    u_before = world.utilities(participants)
-
-    def deltas_after(scratch, responders):
-        decay_phase(scratch, [sender, *responders], params.popularity_decay)
-        return tuple(float(d) for d in scratch.utilities(participants) - u_before)
-
-    payoffs: dict[StrategyProfile, tuple[float, ...]] = {}
-    hold_world = world.copy()
-    forget_everyone(hold_world, params.remembrance)
-    decay_phase(hold_world, [], params.popularity_decay)
-    hold_vector = tuple(float(d) for d in hold_world.utilities(participants) - u_before)
-    payoffs[StrategyProfile.all_hold(len(receivers))] = hold_vector
-
-    stem = world.copy()
-    forget_everyone(stem, params.remembrance)
-    said = opinions(stem, participants, index)
-    send_phase(stem, sender, receivers, index, params)
+    star = play_star(world, sender, receivers, index, params, range(2 ** len(receivers)))
+    hold, cells = tuple(star.hold.tolist()), star.deltas.tolist()
+    payoffs = {StrategyProfile.all_hold(len(receivers)): hold}
     for fb in itertools.product((False, True), repeat=len(receivers)):
-        scratch = stem.copy()
-        responders = [r for r, f in zip(receivers, fb) if f]
-        for r in responders:
-            feedback_phase(scratch, sender, r, index, params, said)
-        payoffs[StrategyProfile(True, fb)] = deltas_after(scratch, responders)
-
+        mask = sum(1 << i for i, f in enumerate(fb) if f)
+        payoffs[StrategyProfile(True, fb)] = tuple(cells[mask])
     for profile in StrategyProfile.enumerate_all(len(receivers)):
-        if profile not in payoffs:
-            payoffs[profile] = hold_vector
+        payoffs.setdefault(profile, hold)
     return PayoffTensor(sender=int(sender), receivers=receivers, payoffs=payoffs)
 
 

@@ -39,12 +39,12 @@ def _clamped(value: float, lo: float, hi: float) -> float:
 
 
 def clamped_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Clamp an array into [lo, hi], rejecting excursions beyond drift."""
+    """Clamp an array into [lo, hi], rejecting excursions beyond drift; no copy if inside."""
     low = values.min()
     high = values.max()
     if lo - low > DRIFT_TOLERANCE or high - hi > DRIFT_TOLERANCE:
         raise DriftError(f"array range [{low!r}, {high!r}] outside [{lo}, {hi}]")
-    return np.clip(values, lo, hi)
+    return np.clip(values, lo, hi) if low < lo or high > hi else values
 
 
 @dataclass(frozen=True)

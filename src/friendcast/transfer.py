@@ -45,7 +45,7 @@ from .knowledge import (
     combined_knowledge,
     forget,
 )
-from .world import World
+from .world import World, reputation_of, utility_of
 
 # How the learning operator weights a transferred belief when the ontology
 # spreads it to correlated assertions. "transferred" uses the knowledge
@@ -234,117 +234,118 @@ def trust_update(t_old: float, b_sender: float, b_receiver: float, history_weigh
     return min(1.0, max(0.0, history_weight * t_old + (1.0 - history_weight) * delta))
 
 
-# --- session phases -------------------------------------------------------
+# --- the star-local session kernel ------------------------------------------
 #
-# The phases below mutate a World in place and are composed by both
-# execute_session and the payoff-tensor builder (which shares the
-# forget+send stem across feedback combinations, since those phases do not
-# depend on who responds).
+# A session reads and writes only its star: the participants' k and b rows
+# and popularity, and the trust columns that give their reputations.
 
 
-def forget_everyone(world: World, remembrance: float) -> None:
-    if remembrance != 1.0:
-        root = np.sqrt(remembrance)
-        world.knowledge *= root
-        world.belief *= root
+@dataclass
+class StarCells:
+    """Outcome of hypothetical sessions on a star: the all-hold one and send cells.
+
+    Rows are the sender, then the receivers in friend-list order. Holding
+    only forgets and decays, so only send cells keep their final state.
+    """
+
+    hold: np.ndarray  # (N+1,) utility changes of the all-hold session
+    deltas: np.ndarray | None = None  # (C, N+1) utility changes of the send cells
+    knowledge: np.ndarray | None = None  # (N+1, A), the same in every cell: comments carry none
+    belief: np.ndarray | None = None  # (C, N+1, A)
+    popularity: np.ndarray | None = None  # (C, N+1)
+    trust_in_sender: np.ndarray | None = None  # (N,) receivers' trust in the sender after the send
+    trust_in_receivers: np.ndarray | None = None  # (N,) sender's trust in each after its comment
 
 
-def send_phase(world: World, sender: int, receivers, index: int, params: TransferParams) -> None:
-    """Broadcast one assertion to all receivers, then update trust and popularity."""
-    receivers = list(receivers)
-    m = world.ontology.m
-    k_sent = float(world.knowledge[sender, index])
-    b_sent = float(world.belief[sender, index])
-    pre_beliefs = world.belief[receivers, index].copy()
-    pre_values = world.knowledge[receivers, index] * pre_beliefs
-    trust_in_sender = world.trust[receivers, sender].copy()
-    willing = world.willingness[receivers]
+def play_star(world: World, sender, receivers, index, params: TransferParams, masks) -> StarCells:
+    """Play the all-hold session and one send per feedback mask on the star alone.
 
-    guess = world.belief[receivers] @ m[:, index] / world.n_assertions
-    mix = trust_in_sender * b_sent + (1.0 - trust_in_sender) * guess
-    dk = willing * k_sent
-    world.knowledge[receivers, index] = clamped_array(
-        combined_knowledge(world.knowledge[receivers, index], dk), 0.0, 1.0
-    )
+    In a send cell, receiver i comments when bit i of its mask is set.
+    `world` is only read. Every cell is, element for element, the
+    arithmetic of that session on the whole world, so its bits do not
+    depend on the other cells. With no masks, `index` may be None.
+    """
+    ids = np.array([sender, *receivers])
+    receivers = ids[1:]
+    size, n = len(ids), world.n_actors
+    weights = world.personality[ids]
+    knowledge, belief = world.knowledge[ids], world.belief[ids]
+    popularity = world.popularity[ids]
+    # A column-contiguous copy, summed column by column as World.reputations sums it.
+    columns = world.trust[:, ids]
+    self_trust = world.trust[ids, ids]
+    reputation = reputation_of(columns, self_trust)
+    u_before = utility_of(weights, knowledge, belief, reputation, popularity)
+
+    if params.remembrance != 1.0:
+        root = np.sqrt(params.remembrance)
+        knowledge = knowledge * root
+        belief = belief * root
+    keep = 1.0 - params.popularity_decay
+    hold = utility_of(weights, knowledge, belief, reputation, popularity * keep) - u_before
+    if len(masks) == 0:
+        return StarCells(hold)
+
+    # Post-forget tuples: a comment carries the responder's own, and both
+    # trust updates compare these beliefs.
+    said_k, said = knowledge[:, index].copy(), belief[:, index].copy()
+    k_sent, b_sent = said_k[0], said[0]
+    trust_before = columns[receivers, 0]
+    guess = belief[1:] @ world.ontology.m[:, index] / world.n_assertions
+    mix = trust_before * b_sent + (1.0 - trust_before) * guess
+    dk = world.willingness[receivers] * k_sent
+    knowledge[1:, index] = clamped_array(combined_knowledge(said_k[1:], dk), 0.0, 1.0)
     if params.belief_weight_mode == "transferred":
         # Zero knowledge arrives off the transferred index, so the learning
         # operator leaves every other belief exactly unchanged.
-        world.belief[receivers, index] = clamped_array(
-            combined_belief(pre_beliefs, mix, dk), -1.0, 1.0
-        )
+        belief[1:, index] = clamped_array(combined_belief(said[1:], mix, dk), -1.0, 1.0)
     else:
-        db = np.outer(mix, m[index])
-        world.belief[receivers] = clamped_array(
-            combined_belief(world.belief[receivers], db, dk[:, None]), -1.0, 1.0
-        )
+        db = np.outer(mix, world.ontology.m[index])
+        belief[1:] = clamped_array(combined_belief(belief[1:], db, dk[:, None]), -1.0, 1.0)
 
     # Receiver-side trust reacts to the agreement that held before the
     # transfer; the sender's popularity grows with what receivers learned.
-    delta_t = 1.0 - np.abs(b_sent - pre_beliefs)
     xi = params.trust_history_weight
-    world.trust[receivers, sender] = np.clip(
-        xi * trust_in_sender + (1.0 - xi) * delta_t, 0.0, 1.0
+    columns[receivers, 0] = np.clip(
+        xi * trust_before + (1.0 - xi) * (1.0 - np.abs(b_sent - said[1:])), 0.0, 1.0
     )
-    post_values = world.knowledge[receivers, index] * world.belief[receivers, index]
-    delta_p = min(1.0, max(0.0, float(np.mean(np.abs(post_values - pre_values)))))
-    p = float(world.popularity[sender])
-    world.popularity[sender] = p + delta_p - p * delta_p
+    post_values = knowledge[1:, index] * belief[1:, index]
+    delta_p = min(1.0, max(0.0, float(np.mean(np.abs(post_values - said_k[1:] * said[1:])))))
+    popularity[0] = popularity[0] + delta_p - popularity[0] * delta_p
 
+    # Comments in friend-list order, each applied at once to every cell
+    # whose mask has the responder's bit.
+    active = np.ones((len(masks), size), dtype=bool)  # who sent or commented
+    active[:, 1:] = np.asarray(masks)[:, None] >> np.arange(size - 1) & 1
+    belief = np.repeat(belief[None], len(masks), axis=0)
+    popularity = np.repeat(popularity[None], len(masks), axis=0)
+    for i in range(1, size):
+        on = active[:, i]
+        if not on.any():
+            continue
+        delta_p = 0.0  # a "transferred" comment carries zero knowledge: only trust moves
+        if params.belief_weight_mode == "source":
+            b_sender = belief[on, 0]
+            a_old = knowledge[0, index] * b_sender[:, index]
+            db = world.ontology.m[index] * (columns[sender, i] * said[i])
+            b_sender = clamped_array(combined_belief(b_sender, db, said_k[i]), -1.0, 1.0)
+            belief[on, 0] = b_sender
+            # The comment changed one actor, so it credits popularity on the
+            # scale one trust entry has in reputation: 1/(n-1) per actor.
+            a_new = knowledge[0, index] * b_sender[:, index]
+            delta_p = np.minimum(1.0, np.abs(a_new - a_old)) / (n - 1)
+        p = popularity[on, i]
+        popularity[on, i] = p + delta_p - p * delta_p
+    for i in range(1, size):
+        columns[sender, i] = trust_update(columns[sender, i], said[0], said[i], xi)
 
-def opinions(world: World, actors, index: int) -> dict[int, tuple[float, float]]:
-    """Each actor's (k, b) tuple at `index`, keyed by actor id.
-
-    Read right after the forgetting tick, this is what a responder's
-    comment carries and what both trust updates compare.
-    """
-    return {
-        int(x): (float(world.knowledge[x, index]), float(world.belief[x, index]))
-        for x in actors
-    }
-
-
-def feedback_phase(world: World, sender: int, responder: int, index: int, params: TransferParams, said) -> None:
-    """One receiver comments: sender absorbs it, trust and popularity update.
-
-    `said` maps the sender and the responder to their post-forget tuples
-    (`opinions` taken before the send). The comment carries the
-    responder's own prior tuple, not the belief the send just pulled
-    toward the sender's, and the sender's trust in the responder moves
-    with the agreement of the two post-forget beliefs.
-    """
-    t_old = float(world.trust[sender, responder])
-    k_comment, b_comment = said[responder]
-    if params.belief_weight_mode == "source":
-        a_old = float(world.knowledge[sender, index] * world.belief[sender, index])
-        db = world.ontology.m[index] * (t_old * b_comment)
-        world.belief[sender] = clamped_array(
-            combined_belief(world.belief[sender], db, k_comment), -1.0, 1.0
-        )
-        a_new = float(world.knowledge[sender, index] * world.belief[sender, index])
-        # The comment changed one actor, so it credits popularity on the
-        # scale one trust entry has in reputation: 1/(n-1) per actor.
-        delta_p = min(1.0, abs(a_new - a_old)) / (world.n_actors - 1)
-    else:
-        # A comment carries zero knowledge, so the zero-weighted learning
-        # operator leaves the sender bitwise unchanged; only trust moves.
-        delta_p = 0.0
-    world.trust[sender, responder] = trust_update(
-        t_old, said[sender][1], b_comment, params.trust_history_weight
+    # Idle decay for every participant who neither sent nor commented.
+    popularity = np.where(active, popularity, popularity * keep)
+    reputation = np.where(active, reputation_of(columns, self_trust), reputation)
+    deltas = utility_of(weights, knowledge, belief, reputation, popularity) - u_before
+    return StarCells(
+        hold, deltas, knowledge, belief, popularity, columns[receivers, 0], columns[sender, 1:]
     )
-    p = float(world.popularity[responder])
-    world.popularity[responder] = p + delta_p - p * delta_p
-
-
-def decay_phase(world: World, active, decay: float) -> None:
-    """Idle popularity decay for everyone who neither sent nor commented."""
-    if decay == 0.0:
-        return
-    if active:
-        saved = world.popularity[active].copy()
-        world.popularity *= 1.0 - decay
-        world.popularity[active] = saved
-    else:
-        world.popularity *= 1.0 - decay
 
 
 def execute_session(
@@ -372,6 +373,9 @@ def execute_session(
     beliefs there. A comment credits the responder's popularity with the
     sender's value change over n - 1. PAPER.md does not settle these rules;
     the module docstring gives the grounding.
+
+    `play_star` plays the session on the star alone and a send's final star
+    state is written back; everyone else only forgets and decays.
     """
     receivers = list(receivers)
     if sender in receivers or len(set(receivers)) != len(receivers):
@@ -385,22 +389,25 @@ def execute_session(
     if send and index is None:
         raise ValueError("a send requires an assertion index")
 
+    mask = sum(1 << i for i, f in enumerate(profile.feedback) if f)
+    star = play_star(world, sender, receivers, index, params, [mask] if send else [])
+    if params.remembrance != 1.0:
+        root = np.sqrt(params.remembrance)
+        world.knowledge *= root
+        world.belief *= root
+    if params.popularity_decay != 0.0:
+        world.popularity *= 1.0 - params.popularity_decay
     participants = [sender, *receivers]
-    u_before = world.utilities(participants)
-
-    forget_everyone(world, params.remembrance)
     if send:
-        said = opinions(world, participants, index)
-        send_phase(world, sender, receivers, index, params)
-        for r in responders:
-            feedback_phase(world, sender, r, index, params, said)
-    decay_phase(world, [sender, *responders] if send else [], params.popularity_decay)
-
-    u_after = world.utilities(participants)
-    deltas = {p: float(u_after[i] - u_before[i]) for i, p in enumerate(participants)}
+        world.knowledge[participants] = star.knowledge
+        world.belief[participants] = star.belief[0]
+        world.popularity[participants] = star.popularity[0]
+        world.trust[receivers, sender] = star.trust_in_sender
+        world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]
+    deltas = star.deltas[0] if send else star.hold
     return SessionOutcome(
         sent=send,
         assertion_index=index,
         responders=tuple(responders),
-        utility_deltas=deltas,
+        utility_deltas={p: float(d) for p, d in zip(participants, deltas)},
     )

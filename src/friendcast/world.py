@@ -16,6 +16,20 @@ from .actors import Actor, Personality, TrustMatrix
 from .knowledge import KnowledgeBase, Ontology
 
 
+def reputation_of(columns: np.ndarray, self_trust: np.ndarray) -> np.ndarray:
+    """Mean trust of all others, from whole contiguous trust columns and their diagonal."""
+    return (columns.sum(axis=0) - self_trust) / (columns.shape[0] - 1)
+
+
+def utility_of(weights, knowledge, belief, reputation, popularity) -> np.ndarray:
+    """Each actor's convex mix of average knowledge, reputation and popularity.
+
+    Leading axes of the state arrays, before the actor axis, index cells.
+    """
+    k = np.abs(knowledge * belief).sum(axis=-1) / knowledge.shape[-1]  # rounds as np.mean does
+    return weights[:, 0] * k + weights[:, 1] * reputation + weights[:, 2] * popularity
+
+
 @dataclass
 class World:
     """Mutable population state: one row per actor in each array."""
@@ -23,10 +37,13 @@ class World:
     knowledge: np.ndarray  # (n, A) knowledge quantities in [0, 1]
     belief: np.ndarray  # (n, A) beliefs in [-1, 1]
     popularity: np.ndarray  # (n,) in [0, 1]
-    trust: np.ndarray  # (n, n), row = truster, column = trustee, diag = 1
+    trust: np.ndarray  # (n, n) column-major, row = truster, column = trustee, diag = 1
     personality: np.ndarray  # (n, 3) columns: knowledge/reputation/popularity
     willingness: np.ndarray  # (n,) in [0, 1]
     ontology: Ontology
+
+    def __post_init__(self):
+        self.trust = np.asfortranarray(self.trust)
 
     @property
     def n_actors(self) -> int:
@@ -42,7 +59,7 @@ class World:
             knowledge=self.knowledge.copy(),
             belief=self.belief.copy(),
             popularity=self.popularity.copy(),
-            trust=self.trust.copy(),
+            trust=self.trust.copy(order="F"),
             personality=self.personality,
             willingness=self.willingness,
             ontology=self.ontology,
@@ -76,21 +93,16 @@ class World:
 
     def reputations(self, ids=None) -> np.ndarray:
         """Mean trust of all other actors in each requested actor."""
-        n = self.n_actors
         if ids is None:
-            ids = np.arange(n)
+            return reputation_of(self.trust, np.diagonal(self.trust))
         ids = np.asarray(ids)
-        columns = self.trust[:, ids].sum(axis=0) - self.trust[ids, ids]
-        return columns / (n - 1)
+        return reputation_of(self.trust[:, ids], self.trust[ids, ids])
 
     def utilities(self, ids) -> np.ndarray:
         """Utility of each requested actor under its own personality."""
         ids = np.asarray(ids)
-        k = np.abs(self.knowledge[ids] * self.belief[ids]).mean(axis=1)
-        r = self.reputations(ids)
-        p = self.popularity[ids]
-        weights = self.personality[ids]
-        return weights[:, 0] * k + weights[:, 1] * r + weights[:, 2] * p
+        return utility_of(self.personality[ids], self.knowledge[ids], self.belief[ids],
+                          self.reputations(ids), self.popularity[ids])
 
     def validate(self) -> None:
         """Raise if any population invariant is broken."""
