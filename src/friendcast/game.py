@@ -111,14 +111,13 @@ def build_payoff_tensor(
     receivers = tuple(int(r) for r in receivers)
     if sender in receivers:
         raise ValueError("receivers must be distinct from the sender")
-    star = play_star(world, sender, receivers, index, params, range(2 ** len(receivers)))
+    feedback = list(itertools.product((False, True), repeat=len(receivers)))
+    star = play_star(world, sender, receivers, index, params, range(len(feedback)))
     hold, cells = tuple(star.hold.tolist()), star.deltas.tolist()
-    payoffs = {StrategyProfile.all_hold(len(receivers)): hold}
-    for fb in itertools.product((False, True), repeat=len(receivers)):
-        mask = sum(1 << i for i, f in enumerate(fb) if f)
-        payoffs[StrategyProfile(True, fb)] = tuple(cells[mask])
-    for profile in StrategyProfile.enumerate_all(len(receivers)):
-        payoffs.setdefault(profile, hold)
+    payoffs = {StrategyProfile(False, feedback[0]): hold}
+    payoffs.update((StrategyProfile(True, fb), tuple(d)) for fb, d in zip(feedback, cells))
+    # Feedback without a send is infeasible and collapses onto the all-hold cell.
+    payoffs.update((StrategyProfile(False, fb), hold) for fb in feedback[1:])
     return PayoffTensor(sender=int(sender), receivers=receivers, payoffs=payoffs)
 
 

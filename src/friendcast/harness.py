@@ -202,8 +202,10 @@ def step(world: World, cfg: ScenarioConfig, rng: np.random.Generator) -> Session
     """
     n = world.n_actors
     sender = int(rng.integers(n))
-    others = np.concatenate([np.arange(sender), np.arange(sender + 1, n)])
-    receivers = [int(r) for r in rng.choice(others, size=cfg.n_receivers, replace=False)]
+    # Draw among the n - 1 others by position, then skip over the sender:
+    # this consumes the generator exactly as drawing from the id array would.
+    picks = rng.choice(n - 1, size=cfg.n_receivers, replace=False)
+    receivers = [int(r + (r >= sender)) for r in picks]
     params = cfg.transfer_params()
 
     known = np.flatnonzero(world.knowledge[sender] > 0.0)
@@ -257,6 +259,7 @@ def simulate(cfg: ScenarioConfig) -> RunResult:
             responses += len(outcome.responders)
         if t % cfg.snapshot_every == 0 or t == cfg.n_steps:
             snapshots.append(take_snapshot(world, t))
+    world.validate()
     return RunResult(
         snapshots=snapshots,
         sends=sends,

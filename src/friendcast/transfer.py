@@ -260,7 +260,8 @@ class StarCells:
 def play_star(world: World, sender, receivers, index, params: TransferParams, masks) -> StarCells:
     """Play the all-hold session and one send per feedback mask on the star alone.
 
-    In a send cell, receiver i comments when bit i of its mask is set.
+    A send cell's mask has one bit per receiver, the first receiver's the
+    most significant, as in the lexicographic order of feedback profiles.
     `world` is only read. Every cell is, element for element, the
     arithmetic of that session on the whole world, so its bits do not
     depend on the other cells. With no masks, `index` may be None.
@@ -316,7 +317,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ma
     # Comments in friend-list order, each applied at once to every cell
     # whose mask has the responder's bit.
     active = np.ones((len(masks), size), dtype=bool)  # who sent or commented
-    active[:, 1:] = np.asarray(masks)[:, None] >> np.arange(size - 1) & 1
+    active[:, 1:] = np.asarray(masks)[:, None] >> np.arange(size - 2, -1, -1) & 1
     belief = np.repeat(belief[None], len(masks), axis=0)
     popularity = np.repeat(popularity[None], len(masks), axis=0)
     for i in range(1, size):
@@ -389,7 +390,7 @@ def execute_session(
     if send and index is None:
         raise ValueError("a send requires an assertion index")
 
-    mask = sum(1 << i for i, f in enumerate(profile.feedback) if f)
+    mask = sum(1 << i for i, f in enumerate(reversed(profile.feedback)) if f)
     star = play_star(world, sender, receivers, index, params, [mask] if send else [])
     if params.remembrance != 1.0:
         root = np.sqrt(params.remembrance)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from friendcast import harness
 from friendcast.harness import (
     ConfigError,
     ScenarioConfig,
@@ -187,6 +188,20 @@ def test_population_invariants_hold_at_every_snapshot():
             world.validate()
             snap = take_snapshot(world, t)
             assert snap.histogram.sum() == cfg.n_actors
+
+
+def test_a_run_whose_state_is_corrupted_mid_run_fails(monkeypatch):
+    # No session reads the self-trust diagonal, so nothing on the way
+    # notices the corruption; the range guard at the end of the run must.
+    def corrupting_step(world, cfg, rng):
+        outcome = step(world, cfg, rng)
+        world.trust[3, 3] = 0.5
+        return outcome
+
+    simulate(tiny_config())
+    monkeypatch.setattr(harness, "step", corrupting_step)
+    with pytest.raises(ValueError, match="diagonal"):
+        simulate(tiny_config())
 
 
 def test_explicit_ontology_is_used():
