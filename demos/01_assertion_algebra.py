@@ -5,22 +5,45 @@ Run:  python3 demos/01_assertion_algebra.py
 
 import numpy as np
 
-from friendcast import Assertion, KnowledgeBase, assertion_value, average_knowledge, forget, learn
+from friendcast import (
+    Assertion,
+    Ontology,
+    StrategyProfile,
+    TransferParams,
+    World,
+    execute_session,
+    learn,
+)
 
 print("An assertion pairs a quantity of knowledge with a belief.")
 astrology = Assertion(0.3, -0.9)  # knows a little, firmly disbelieves
-print(f"  {astrology}  ->  value {assertion_value(astrology):+.2f}")
+print(f"  {astrology}  ->  value {astrology.value:+.2f}")
 rumor = Assertion(0.8, 0.0)  # well informed about something unverifiable
-print(f"  {rumor}  ->  value {assertion_value(rumor):+.2f}")
+print(f"  {rumor}  ->  value {rumor.value:+.2f}")
 
 print("\nAverage knowledge is the mean absolute value across the base.")
-kb = KnowledgeBase.from_assertions([astrology, rumor, Assertion(0.5, 1.0)])
-print(f"  base values {np.round(kb.values(), 3)}  ->  K = {average_knowledge(kb):.3f}")
+base = [astrology, rumor, Assertion(0.5, 1.0)]
+# An actor's base is its row of the population state. Two actors hold it,
+# because a session needs a sender and a receiver.
+world = World(
+    knowledge=np.array([[a.k for a in base]] * 2),
+    belief=np.array([[a.b for a in base]] * 2),
+    popularity=np.zeros(2),
+    trust=np.eye(2),
+    personality=np.tile([1.0, 0.0, 0.0], (2, 1)),
+    willingness=np.ones(2),
+    ontology=Ontology.identity(len(base)),
+)
+K = world.average_knowledge_per_actor()[0]
+print(f"  base values {np.round(world.values()[0], 3)}  ->  K = {K:.3f}")
 
 print("\nForgetting shrinks both components, so values scale linearly:")
 for rate in (1.0, 0.81, 0.25):
-    faded = forget(kb, rate)
-    print(f"  remembrance {rate:4.2f}:  K = {average_knowledge(faded):.3f}")
+    # every actor forgets once per session, even when nothing is sent
+    faded = world.copy()
+    quiet = StrategyProfile.all_hold(1)
+    execute_session(faded, 0, [1], None, quiet, TransferParams(remembrance=rate))
+    print(f"  remembrance {rate:4.2f}:  K = {faded.average_knowledge_per_actor()[0]:.3f}")
 
 print("\nLearning combines two instances of the same assertion.")
 cases = [

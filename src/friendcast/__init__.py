@@ -10,94 +10,24 @@ applied to the population state.
 
 __version__ = "0.1.0"
 
-from .knowledge import (
-    Assertion,
-    DriftError,
-    KnowledgeBase,
-    Ontology,
-    assertion_value,
-    average_knowledge,
-    forget,
-    learn,
-)
-from .actors import (
-    Actor,
-    Personality,
-    TrustMatrix,
-    decay_popularity,
-    reputation,
-    utility,
-)
-from .transfer import (
-    SessionOutcome,
-    TransferParams,
-    apply_feedback_transfer,
-    apply_knowledge_transfer,
-    execute_session,
-    perceived_delta,
-    popularity_update,
-    trust_update,
-)
-from .game import (
-    PayoffTensor,
-    StrategyProfile,
-    build_payoff_tensor,
-    find_pure_nash,
-    select_profile,
-)
-from .world import World, world_from_actors
-from .harness import (
-    ConfigError,
-    RunResult,
-    ScenarioConfig,
-    Snapshot,
-    init_population,
-    run,
-    simulate,
-    step,
-    take_snapshot,
-)
-from .scenarios import BUILTIN_SCENARIOS, scenario_config
+from .knowledge import Assertion, Ontology, learn
+from .transfer import TransferParams, execute_session
+from .game import StrategyProfile, build_payoff_tensor, find_pure_nash, select_profile
+from .world import World
+from .harness import simulate
+from .scenarios import scenario_config
 
 __all__ = [
-    "Actor",
     "Assertion",
-    "BUILTIN_SCENARIOS",
-    "ConfigError",
-    "DriftError",
-    "KnowledgeBase",
     "Ontology",
-    "PayoffTensor",
-    "Personality",
-    "RunResult",
-    "ScenarioConfig",
-    "SessionOutcome",
-    "Snapshot",
     "StrategyProfile",
     "TransferParams",
-    "TrustMatrix",
     "World",
-    "apply_feedback_transfer",
-    "apply_knowledge_transfer",
-    "assertion_value",
-    "average_knowledge",
     "build_payoff_tensor",
-    "decay_popularity",
     "execute_session",
     "find_pure_nash",
-    "forget",
-    "init_population",
     "learn",
-    "perceived_delta",
-    "popularity_update",
-    "reputation",
-    "run",
     "scenario_config",
     "select_profile",
     "simulate",
-    "step",
-    "take_snapshot",
-    "trust_update",
-    "utility",
-    "world_from_actors",
 ]

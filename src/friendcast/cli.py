@@ -117,6 +117,8 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} must hold a JSON object")
     if "config" in data and "tool_version" in data:
         data = data["config"]  # a manifest written by an earlier run
+        if not isinstance(data, dict):
+            raise ConfigError(f'manifest {path} must hold a JSON object under "config"')
     return data
 
 
@@ -189,9 +191,11 @@ _SWEEPABLE = {
 
 
 def _parse_scalar(key: str, text: str):
-    if key in ("n_actors", "n_assertions", "n_receivers", "n_steps", "snapshot_every", "rng_seed"):
-        return int(text)
-    return float(text)
+    integers = ("n_actors", "n_assertions", "n_receivers", "n_steps", "snapshot_every", "rng_seed")
+    try:
+        return int(text) if key in integers else float(text)
+    except ValueError:
+        raise ConfigError(f"bad {key} value {text!r}")
 
 
 def cmd_sweep(args) -> int:
@@ -199,7 +203,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown sweep parameter {args.vary!r}")
     scenario, base = resolve_config(args)
     values = [_parse_scalar(args.vary, v) for v in args.values.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = [_parse_scalar("rng_seed", s) for s in args.seeds.split(",")]
     out_root = Path(args.out)
 
     tasks = []

@@ -268,7 +268,3 @@ def simulate(cfg: ScenarioConfig) -> RunResult:
         n_steps=cfg.n_steps,
     )
 
-
-def run(cfg: ScenarioConfig) -> list[Snapshot]:
-    """Snapshot series for one scenario: step 0, every snapshot_every, the end."""
-    return simulate(cfg).snapshots

@@ -3,11 +3,11 @@
 An assertion is a pair (k, b): k in [0, 1] is the quantity of knowledge an
 actor holds about one elementary fact, b in [-1, 1] is the belief attached
 to it (negative = disbelief, 0 = unverifiable rumor). The product k*b is the
-assertion's value; the mean absolute value across a knowledge base is the
-actor's average knowledge.
+assertion's value; the mean absolute value across an actor's assertions
+(its row in `World`) is the actor's average knowledge.
 
-Everything here is a pure function on plain values; nothing holds shared
-mutable state.
+Everything here is a pure function on plain values or arrays; the session
+kernel in `transfer.py` applies the operators to whole rows of `World`.
 """
 
 from __future__ import annotations
@@ -61,73 +61,6 @@ class Assertion:
     @property
     def value(self) -> float:
         return self.k * self.b
-
-
-def assertion_value(a: Assertion) -> float:
-    """Value of an assertion: knowledge times belief, in [-1, 1]."""
-    return a.k * a.b
-
-
-class KnowledgeBase:
-    """Fixed-length sequence of assertions, stored as parallel k/b arrays.
-
-    The length is the global assertion count and never changes during a run.
-    Instances own their arrays (inputs are copied) and treat them as
-    read-only; operations return new KnowledgeBase values.
-    """
-
-    __slots__ = ("k", "b")
-
-    def __init__(self, k, b):
-        k = np.asarray(k, dtype=float).copy()
-        b = np.asarray(b, dtype=float).copy()
-        if k.ndim != 1 or k.shape != b.shape:
-            raise ValueError("knowledge and belief arrays must be equal-length 1-D")
-        self.k = clamped_array(k, 0.0, 1.0)
-        self.b = clamped_array(b, -1.0, 1.0)
-
-    @classmethod
-    def from_assertions(cls, assertions) -> "KnowledgeBase":
-        items = list(assertions)
-        return cls([a.k for a in items], [a.b for a in items])
-
-    def __len__(self) -> int:
-        return self.k.shape[0]
-
-    def __getitem__(self, i: int) -> Assertion:
-        return Assertion(float(self.k[i]), float(self.b[i]))
-
-    def assertions(self) -> list[Assertion]:
-        return [self[i] for i in range(len(self))]
-
-    def values(self) -> np.ndarray:
-        return self.k * self.b
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KnowledgeBase)
-            and np.array_equal(self.k, other.k)
-            and np.array_equal(self.b, other.b)
-        )
-
-
-def average_knowledge(kb: KnowledgeBase) -> float:
-    """Mean absolute assertion value; the actor's ability to reason, in [0, 1]."""
-    if len(kb) == 0:
-        raise ValueError("average knowledge is undefined for an empty knowledge base")
-    return float(np.mean(np.abs(kb.values())))
-
-
-def forget(kb: KnowledgeBase, remembrance: float) -> KnowledgeBase:
-    """Scale both tuple components by sqrt(remembrance).
-
-    remembrance=1 leaves the base untouched, remembrance=0 erases it; each
-    assertion's value shrinks by exactly the remembrance factor.
-    """
-    if not 0.0 <= remembrance <= 1.0:
-        raise ValueError(f"remembrance must be in [0, 1], got {remembrance!r}")
-    root = np.sqrt(remembrance)
-    return KnowledgeBase(kb.k * root, kb.b * root)
 
 
 def combined_knowledge(k_have, k_added):

@@ -35,16 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actors import Actor, TrustMatrix
-from .knowledge import (
-    Assertion,
-    KnowledgeBase,
-    Ontology,
-    clamped_array,
-    combined_belief,
-    combined_knowledge,
-    forget,
-)
+from .knowledge import clamped_array, combined_belief, combined_knowledge
 from .world import World, reputation_of, utility_of
 
 # How the learning operator weights a transferred belief when the ontology
@@ -87,141 +78,6 @@ class SessionOutcome:
     def __post_init__(self):
         if not self.sent and self.responders:
             raise ValueError("feedback without a send is infeasible")
-
-
-def _transfer_deltas(m, index, k_sent, b_sent, receiver_beliefs, trust, willingness):
-    """Per-assertion (dk, db) a receiver perceives from one published assertion.
-
-    Knowledge arrives only at the transferred index, scaled by willingness.
-    Belief arrives at every correlated index: a trust-weighted mix of the
-    sender's belief and the receiver's own correlation-weighted guess.
-    """
-    guess = float(np.mean(m[:, index] * receiver_beliefs))
-    db = m[index, :] * (trust * b_sent + (1.0 - trust) * guess)
-    dk = np.zeros_like(db)
-    dk[index] = willingness * k_sent
-    return dk, db
-
-
-def _feedback_deltas(m, index, b_responder, trust):
-    """Per-assertion (dk, db) a sender perceives from one comment.
-
-    Comments carry no knowledge quantity and no self-assessment term; the
-    belief (the responder's post-forget belief) is scaled by the sender's
-    trust in the responder.
-    """
-    db = m[index, :] * (trust * b_responder)
-    return np.zeros_like(db), db
-
-
-def _absorb(k_row, b_row, dk, db, belief_weight):
-    """Fold perceived deltas into a knowledge row via the learning operator."""
-    k_new = clamped_array(combined_knowledge(k_row, dk), 0.0, 1.0)
-    b_new = clamped_array(combined_belief(b_row, db, belief_weight), -1.0, 1.0)
-    return k_new, b_new
-
-
-def perceived_delta(
-    receiver_kb: KnowledgeBase,
-    sender_assertion: Assertion,
-    index: int,
-    target: int,
-    ontology: Ontology,
-    trust: float,
-    willingness: float,
-) -> Assertion:
-    """The tuple a receiver perceives at `target` when `index` is published."""
-    dk, db = _transfer_deltas(
-        ontology.m,
-        index,
-        sender_assertion.k,
-        sender_assertion.b,
-        receiver_kb.b,
-        trust,
-        willingness,
-    )
-    return Assertion(float(dk[target]), float(db[target]))
-
-
-def apply_knowledge_transfer(
-    receiver: Actor,
-    sender: Actor,
-    index: int,
-    ontology: Ontology,
-    tm: TrustMatrix,
-    params: TransferParams,
-) -> Actor:
-    """One receiver absorbs a published assertion.
-
-    The receiver's base is first degraded by remembrance, then every
-    assertion is combined with the perceived delta through the learning
-    operator. Returns a new Actor; the input is untouched.
-    """
-    trust = float(tm.matrix[receiver.id, sender.id])
-    kb = forget(receiver.kb, params.remembrance)
-    dk, db = _transfer_deltas(
-        ontology.m,
-        index,
-        sender.kb.k[index],
-        sender.kb.b[index],
-        kb.b,
-        trust,
-        receiver.willingness,
-    )
-    weight = dk if params.belief_weight_mode == "transferred" else float(dk[index])
-    k_new, b_new = _absorb(kb.k, kb.b, dk, db, weight)
-    return Actor(
-        id=receiver.id,
-        kb=KnowledgeBase(k_new, b_new),
-        personality=receiver.personality,
-        popularity=receiver.popularity,
-        willingness=receiver.willingness,
-    )
-
-
-def apply_feedback_transfer(
-    sender: Actor,
-    receiver: Actor,
-    index: int,
-    ontology: Ontology,
-    tm: TrustMatrix,
-    belief_weight_mode: str = "transferred",
-) -> Actor:
-    """The sender absorbs one comment on the assertion published this session.
-
-    Comments do not degrade the sender's base (same time step as the
-    original transfer) and never move its knowledge quantities. `receiver`
-    is the responder as it stood after forgetting, before the send: the
-    comment carries that tuple, not the one the send produced.
-    """
-    trust = float(tm.matrix[sender.id, receiver.id])
-    dk, db = _feedback_deltas(ontology.m, index, receiver.kb.b[index], trust)
-    weight = dk if belief_weight_mode == "transferred" else float(receiver.kb.k[index])
-    k_new, b_new = _absorb(sender.kb.k, sender.kb.b, dk, db, weight)
-    return Actor(
-        id=sender.id,
-        kb=KnowledgeBase(k_new, b_new),
-        personality=sender.personality,
-        popularity=sender.popularity,
-        willingness=sender.willingness,
-    )
-
-
-def popularity_update(p_old, receivers_before, receivers_after, index: int) -> float:
-    """Grow popularity by the mean |value change| of the transferred assertion.
-
-    The increment combines with the old value the same way knowledge does,
-    so popularity never leaves [0, 1] and never shrinks here (idle decay is
-    a separate operation).
-    """
-    if len(receivers_before) == 0 or len(receivers_before) != len(receivers_after):
-        raise ValueError("popularity update needs matching, nonempty receiver states")
-    changes = [
-        abs(after.values()[index] - before.values()[index])
-        for before, after in zip(receivers_before, receivers_after)
-    ]
-    delta = min(1.0, max(0.0, float(np.mean(changes))))
-    return p_old + delta - p_old * delta
 
 
 def trust_update(t_old: float, b_sender: float, b_receiver: float, history_weight: float) -> float:
@@ -379,8 +235,8 @@ def execute_session(
     state is written back; everyone else only forgets and decays.
     """
     receivers = list(receivers)
-    if sender in receivers or len(set(receivers)) != len(receivers):
-        raise ValueError("receivers must be distinct from each other and the sender")
+    if not receivers or sender in receivers or len(set(receivers)) != len(receivers):
+        raise ValueError("receivers must be nonempty and distinct from each other and the sender")
     if len(profile.feedback) != len(receivers):
         raise ValueError("profile length does not match the receiver list")
     send = bool(profile.send)

@@ -2,8 +2,7 @@
 
 The world keeps the whole population in flat numpy arrays so that a
 simulation session touches a handful of vectorized operations instead of
-per-actor Python objects. Actor objects can still be materialized for the
-value-level API.
+per-actor Python objects.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actors import Actor, Personality, TrustMatrix
-from .knowledge import KnowledgeBase, Ontology
+from .knowledge import Ontology
 
 
 def reputation_of(columns: np.ndarray, self_trust: np.ndarray) -> np.ndarray:
@@ -65,20 +63,6 @@ class World:
             ontology=self.ontology,
         )
 
-    def actor(self, actor_id: int) -> Actor:
-        """Materialize one row as a value-level Actor."""
-        row = self.personality[actor_id]
-        return Actor(
-            id=int(actor_id),
-            kb=KnowledgeBase(self.knowledge[actor_id], self.belief[actor_id]),
-            personality=Personality(float(row[0]), float(row[1]), float(row[2])),
-            popularity=float(self.popularity[actor_id]),
-            willingness=float(self.willingness[actor_id]),
-        )
-
-    def trust_matrix(self) -> TrustMatrix:
-        return TrustMatrix(self.trust)
-
     def values(self) -> np.ndarray:
         """(n, A) matrix of assertion values k*b."""
         return self.knowledge * self.belief
@@ -117,18 +101,3 @@ class World:
         if not np.array_equal(np.diag(self.trust), np.ones(self.n_actors)):
             raise ValueError("self-trust diagonal must be 1")
 
-
-def world_from_actors(actors, trust: TrustMatrix, ontology: Ontology) -> World:
-    """Assemble a World from value-level actors plus a trust matrix."""
-    actors = sorted(actors, key=lambda a: a.id)
-    if [a.id for a in actors] != list(range(len(actors))):
-        raise ValueError("actor ids must be dense integers starting at 0")
-    return World(
-        knowledge=np.array([a.kb.k for a in actors]),
-        belief=np.array([a.kb.b for a in actors]),
-        popularity=np.array([a.popularity for a in actors]),
-        trust=trust.matrix.copy(),
-        personality=np.array([a.personality.as_array() for a in actors]),
-        willingness=np.array([a.willingness for a in actors]),
-        ontology=ontology,
-    )

@@ -49,6 +49,15 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_run_manifest_with_a_non_object_config_exits_one(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": 5, "tool_version": "0.1.0"}))
+    code = main(["run", "--config", str(manifest), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_unwritable_output_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")
@@ -136,6 +145,16 @@ def test_sweep_unknown_key_exits_one(tmp_path, capsys):
     code = main(["sweep", "--scenario", "trolls", "--vary", "not_a_key",
                  "--values", "1", "--seeds", "1", "--out", str(tmp_path / "s")])
     assert code == 1
+
+
+@pytest.mark.parametrize("values, seeds", [("abc", "1"), ("1", "x"), ("1,2.5", "1")])
+def test_sweep_unparsable_value_or_seed_exits_one(tmp_path, capsys, values, seeds):
+    out = tmp_path / "s"
+    code = main(["sweep", "--scenario", "trolls", "--vary", "n_receivers",
+                 "--values", values, "--seeds", seeds, "--out", str(out), *FAST])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sweep_breaking_personality_convexity_fails_validation(tmp_path):

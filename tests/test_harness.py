@@ -9,7 +9,6 @@ from friendcast.harness import (
     ScenarioConfig,
     _tier_counts,
     init_population,
-    run,
     simulate,
     step,
     take_snapshot,
@@ -123,12 +122,13 @@ def test_two_actor_world_always_pairs_them():
 
 
 def test_run_snapshot_schedule():
-    assert [s.step for s in run(tiny_config(n_steps=0))] == [0]
-    assert [s.step for s in run(tiny_config(n_steps=40, snapshot_every=10))] == [
-        0, 10, 20, 30, 40,
-    ]
+    def steps(cfg):
+        return [s.step for s in simulate(cfg).snapshots]
+
+    assert steps(tiny_config(n_steps=0)) == [0]
+    assert steps(tiny_config(n_steps=40, snapshot_every=10)) == [0, 10, 20, 30, 40]
     # a final step off the grid is still recorded, once
-    assert [s.step for s in run(tiny_config(n_steps=7, snapshot_every=3))] == [0, 3, 6, 7]
+    assert steps(tiny_config(n_steps=7, snapshot_every=3)) == [0, 3, 6, 7]
 
 
 def test_snapshot_histogram_counts_actors():

@@ -3,27 +3,54 @@
 import numpy as np
 import pytest
 
+from friendcast.game import StrategyProfile
+from friendcast.harness import ConfigError, ScenarioConfig
 from friendcast.knowledge import (
     Assertion,
     DriftError,
-    KnowledgeBase,
     Ontology,
-    assertion_value,
-    average_knowledge,
     clamped_array,
     combined_belief,
     combined_knowledge,
-    forget,
     learn,
 )
+from friendcast.transfer import TransferParams, execute_session
+from friendcast.world import World
 
 EXACT = 1e-12
 
 
+def _world(knowledge, belief):
+    """One actor per row of the given (k, b) tables, trusting each other at 0.5."""
+    knowledge = np.array(knowledge, dtype=float)
+    n, a_count = knowledge.shape
+    trust = np.full((n, n), 0.5)
+    np.fill_diagonal(trust, 1.0)
+    return World(
+        knowledge=knowledge,
+        belief=np.array(belief, dtype=float),
+        popularity=np.zeros(n),
+        trust=trust,
+        personality=np.tile([0.2, 0.7, 0.1], (n, 1)),
+        willingness=np.ones(n),
+        ontology=Ontology.identity(a_count),
+    )
+
+
+def _forgotten(world, remembrance):
+    """The world after one quiet session: every actor forgets once."""
+    params = TransferParams(remembrance=remembrance)
+    execute_session(world, 0, [1], None, StrategyProfile.all_hold(1), params)
+    return world
+
+
 def test_assertion_value_examples():
-    assert assertion_value(Assertion(0.3, -0.9)) == pytest.approx(-0.27, abs=EXACT)
-    assert assertion_value(Assertion(0.0, 0.7)) == 0.0
-    assert assertion_value(Assertion(1.0, 1.0)) == 1.0
+    assert Assertion(0.3, -0.9).value == pytest.approx(-0.27, abs=EXACT)
+    assert Assertion(0.0, 0.7).value == 0.0
+    assert Assertion(1.0, 1.0).value == 1.0
+    values = _world([[0.3], [0.0], [1.0]], [[-0.9], [0.7], [1.0]]).values()[:, 0]
+    assert values[0] == pytest.approx(-0.27, abs=EXACT)
+    assert values[1] == 0.0 and values[2] == 1.0
 
 
 def test_assertion_rejects_out_of_range():
@@ -37,55 +64,56 @@ def test_assertion_rejects_out_of_range():
 
 
 def test_average_knowledge_examples():
-    full = KnowledgeBase([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-    assert average_knowledge(full) == 1.0
-    no_belief = KnowledgeBase([0.2, 0.9], [0.0, 0.0])
-    assert average_knowledge(no_belief) == 0.0
-    mixed = KnowledgeBase.from_assertions([Assertion(0.3, -0.9), Assertion(0.5, 1.0)])
-    assert average_knowledge(mixed) == pytest.approx(0.385, abs=EXACT)
+    full = _world([[1.0, 1.0, 1.0]] * 2, [[1.0, 1.0, 1.0]] * 2)
+    assert full.average_knowledge_per_actor()[0] == 1.0
+    no_belief = _world([[0.2, 0.9]] * 2, [[0.0, 0.0]] * 2)
+    assert no_belief.average_knowledge_per_actor()[0] == 0.0
+    mixed = _world([[0.3, 0.5]] * 2, [[-0.9, 1.0]] * 2)
+    assert mixed.average_knowledge_per_actor()[0] == pytest.approx(0.385, abs=EXACT)
 
 
 def test_average_knowledge_empty_base_is_an_error():
-    with pytest.raises(ValueError):
-        average_knowledge(KnowledgeBase([], []))
+    with pytest.raises(ConfigError):
+        ScenarioConfig(n_assertions=0).validate()
 
 
 def test_average_knowledge_permutation_invariant():
     rng = np.random.default_rng(0)
     k = rng.uniform(0, 1, 12)
     b = rng.uniform(-1, 1, 12)
-    base = average_knowledge(KnowledgeBase(k, b))
-    for _ in range(5):
-        perm = rng.permutation(12)
-        assert average_knowledge(KnowledgeBase(k[perm], b[perm])) == pytest.approx(
-            base, abs=EXACT
-        )
+    perms = [np.arange(12)] + [rng.permutation(12) for _ in range(5)]
+    world = _world([k[p] for p in perms], [b[p] for p in perms])
+    averages = world.average_knowledge_per_actor()
+    assert averages[1:] == pytest.approx(np.full(5, averages[0]), abs=EXACT)
 
 
 def test_forget_examples():
-    kb = KnowledgeBase([1.0, 0.4], [-1.0, 0.5])
-    assert forget(kb, 1.0) == kb
-    gone = forget(kb, 0.0)
-    assert np.all(gone.k == 0.0) and np.all(gone.b == 0.0)
-    scaled = forget(KnowledgeBase([1.0], [-1.0]), 0.81)
-    assert scaled.k[0] == pytest.approx(0.9, abs=EXACT)
-    assert scaled.b[0] == pytest.approx(-0.9, abs=EXACT)
+    k, b = [[1.0, 0.4], [0.3, 0.6]], [[-1.0, 0.5], [0.2, -0.7]]
+    kept = _forgotten(_world(k, b), 1.0)
+    assert np.array_equal(kept.knowledge, k) and np.array_equal(kept.belief, b)
+    gone = _forgotten(_world(k, b), 0.0)
+    assert np.all(gone.knowledge == 0.0) and np.all(gone.belief == 0.0)
+    scaled = _forgotten(_world([[1.0], [0.5]], [[-1.0], [0.5]]), 0.81)
+    assert scaled.knowledge[0, 0] == pytest.approx(0.9, abs=EXACT)
+    assert scaled.belief[0, 0] == pytest.approx(-0.9, abs=EXACT)
 
 
 def test_forget_rejects_bad_rate():
-    kb = KnowledgeBase([0.5], [0.5])
     with pytest.raises(ValueError):
-        forget(kb, 1.2)
+        TransferParams(remembrance=1.2)
     with pytest.raises(ValueError):
-        forget(kb, -0.1)
+        TransferParams(remembrance=-0.1)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(remembrance=1.2).validate()
 
 
 def test_forget_scales_values_linearly():
     rng = np.random.default_rng(1)
-    kb = KnowledgeBase(rng.uniform(0, 1, 50), rng.uniform(-1, 1, 50))
+    k, b = rng.uniform(0, 1, (2, 50)), rng.uniform(-1, 1, (2, 50))
     for rate in (0.0, 0.25, 0.81, 1.0):
-        out = forget(kb, rate)
-        assert np.allclose(out.values(), rate * kb.values(), atol=EXACT)
+        before = _world(k, b)
+        out = _forgotten(before.copy(), rate)
+        assert np.allclose(out.values(), rate * before.values(), atol=EXACT)
 
 
 def test_learn_worked_example():

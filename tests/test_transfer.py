@@ -1,54 +1,65 @@
-"""Transfer operations: perceived deltas, absorption, trust/popularity updates."""
+"""Sessions on the World state: transfer, feedback, trust and popularity updates."""
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from friendcast.actors import Actor, Personality, TrustMatrix
 from friendcast.game import StrategyProfile
-from friendcast.knowledge import Assertion, KnowledgeBase, Ontology
+from friendcast.harness import ConfigError, ScenarioConfig
+from friendcast.knowledge import Assertion, Ontology, learn
 from friendcast.transfer import (
+    BELIEF_WEIGHT_MODES,
     SessionOutcome,
     TransferParams,
-    apply_feedback_transfer,
-    apply_knowledge_transfer,
     execute_session,
-    perceived_delta,
-    popularity_update,
     trust_update,
 )
 from friendcast.world import World
 
+from session_oracle import oracle_session
+from test_transfer_oracle import as_oracle_world
+
 EXACT = 1e-12
 
 
-def _plain_actor(actor_id, k, b, willingness=1.0):
-    return Actor(
-        id=actor_id,
-        kb=KnowledgeBase(k, b),
-        personality=Personality(0.2, 0.7, 0.1),
-        popularity=0.0,
-        willingness=willingness,
+def _pair(sender, receiver, trust=1.0, ontology=None, willingness=1.0, popularity=0.0):
+    """Actor 0 sends to actor 1; each is given as its (k, b) rows, trusting the other at `trust`."""
+    knowledge = np.array([sender[0], receiver[0]], dtype=float)
+    m = np.full((2, 2), float(trust))
+    np.fill_diagonal(m, 1.0)
+    return World(
+        knowledge=knowledge,
+        belief=np.array([sender[1], receiver[1]], dtype=float),
+        popularity=np.array([popularity, 0.0]),
+        trust=m,
+        personality=np.tile([0.2, 0.7, 0.1], (2, 1)),
+        willingness=np.array([1.0, willingness]),
+        ontology=ontology or Ontology.identity(knowledge.shape[1]),
     )
+
+
+def _send(world, index, comment=False, **params):
+    """Actor 0 publishes `index` to actor 1, who comments if asked."""
+    profile = StrategyProfile(True, (comment,))
+    return execute_session(world, 0, [1], index, profile, TransferParams(**params))
 
 
 def test_perceived_delta_off_index_identity_ontology_is_zero():
-    receiver = KnowledgeBase([0.5, 0.5], [0.3, -0.4])
-    out = perceived_delta(
-        receiver, Assertion(0.8, 0.6), index=0, target=1,
-        ontology=Ontology.identity(2), trust=0.7, willingness=1.0,
-    )
-    assert out.k == 0.0 and out.b == 0.0
+    for mode in BELIEF_WEIGHT_MODES:
+        world = _pair(([0.8, 0.1], [0.6, 0.2]), ([0.5, 0.5], [0.3, -0.4]), trust=0.7)
+        _send(world, 0, belief_weight_mode=mode)
+        assert world.knowledge[1, 1] == 0.5 and world.belief[1, 1] == -0.4
 
 
 def test_perceived_delta_full_trust_reproduces_sender_tuple():
-    receiver = KnowledgeBase([0.2, 0.9], [-0.8, 0.1])
+    # a fully trusting receiver learns exactly the sender's tuple
     sent = Assertion(0.8, 0.6)
-    out = perceived_delta(
-        receiver, sent, index=1, target=1,
-        ontology=Ontology.identity(2), trust=1.0, willingness=1.0,
-    )
-    assert out.k == pytest.approx(sent.k, abs=EXACT)
-    assert out.b == pytest.approx(sent.b, abs=EXACT)
+    world = _pair(([0.3, sent.k], [0.0, sent.b]), ([0.2, 0.9], [-0.8, 0.1]), trust=1.0)
+    _send(world, 1)
+    learned = learn(Assertion(0.9, 0.1), sent)
+    assert world.knowledge[1, 1] == pytest.approx(learned.k, abs=EXACT)
+    assert world.belief[1, 1] == pytest.approx(learned.b, abs=EXACT)
 
 
 def test_perceived_delta_zero_trust_uses_self_assessment():
@@ -57,113 +68,107 @@ def test_perceived_delta_zero_trust_uses_self_assessment():
     a_count = 4
     beliefs = [0.0] * a_count
     beliefs[2] = 0.5
-    receiver = KnowledgeBase([0.3] * a_count, beliefs)
-    out = perceived_delta(
-        receiver, Assertion(0.8, -0.6), index=2, target=2,
-        ontology=Ontology.identity(a_count), trust=0.0, willingness=1.0,
-    )
+    world = _pair(([0.8] * a_count, [-0.6] * a_count), ([0.3] * a_count, beliefs), trust=0.0)
+    _send(world, 2)
     expected_guess = sum(
         (1.0 if kk == 2 else 0.0) * beliefs[kk] for kk in range(a_count)
     ) / a_count
-    assert out.k == pytest.approx(0.8, abs=EXACT)
-    assert out.b == pytest.approx(expected_guess, abs=EXACT)
+    # the receiver learns the sender's knowledge with its own guess as the belief
+    learned = learn(Assertion(0.3, 0.5), Assertion(0.8, expected_guess))
+    assert world.knowledge[1, 2] == pytest.approx(learned.k, abs=EXACT)
+    assert world.belief[1, 2] == pytest.approx(learned.b, abs=EXACT)
 
 
 def test_apply_knowledge_transfer_absorption():
-    receiver = _plain_actor(0, [0.0, 0.0], [0.0, 0.0])
-    sender = _plain_actor(1, [1.0, 0.3], [1.0, -0.5])
-    tm = TrustMatrix.uniform(2, 1.0)
-    out = apply_knowledge_transfer(
-        receiver, sender, 0, Ontology.identity(2), tm, TransferParams(remembrance=1.0)
-    )
-    assert out.kb[0].k == 1.0 and out.kb[0].b == pytest.approx(1.0, abs=EXACT)
-    assert out.kb[1].k == 0.0 and out.kb[1].b == 0.0  # untouched off-index
+    world = _pair(([1.0, 0.3], [1.0, -0.5]), ([0.0, 0.0], [0.0, 0.0]), trust=1.0)
+    _send(world, 0, remembrance=1.0)
+    assert world.knowledge[1, 0] == 1.0 and world.belief[1, 0] == pytest.approx(1.0, abs=EXACT)
+    assert world.knowledge[1, 1] == 0.0 and world.belief[1, 1] == 0.0  # untouched off-index
 
 
 def test_apply_knowledge_transfer_stubborn_receiver_keeps_knowledge():
-    receiver = _plain_actor(0, [0.4, 0.2], [0.1, -0.3], willingness=0.0)
-    sender = _plain_actor(1, [0.9, 0.9], [1.0, 1.0])
-    tm = TrustMatrix.uniform(2, 0.6)
-    out = apply_knowledge_transfer(
-        receiver, sender, 0, Ontology.identity(2), tm, TransferParams(remembrance=1.0)
-    )
-    assert np.allclose(out.kb.k, receiver.kb.k, atol=EXACT)
+    world = _pair(([0.9, 0.9], [1.0, 1.0]), ([0.4, 0.2], [0.1, -0.3]), trust=0.6, willingness=0.0)
+    _send(world, 0, remembrance=1.0)
+    assert np.allclose(world.knowledge[1], [0.4, 0.2], atol=EXACT)
 
 
 def test_apply_knowledge_transfer_with_forgetting_worked_example():
-    # receiver {0.5, 0} degrades to {0.45, 0}; the fully-trusted sender
-    # tuple {0.5, 0.8} then combines to {0.725, 0.4}
-    receiver = _plain_actor(0, [0.5], [0.0])
-    sender = _plain_actor(1, [0.5], [0.8])
-    tm = TrustMatrix.uniform(2, 1.0)
-    out = apply_knowledge_transfer(
-        receiver, sender, 0, Ontology.identity(1), tm, TransferParams(remembrance=0.81)
-    )
-    assert out.kb[0].k == pytest.approx(0.725, abs=EXACT)
-    assert out.kb[0].b == pytest.approx(0.4, abs=EXACT)
+    # receiver {0.5, 0} degrades to {0.45, 0}; the sender's {5/9, 8/9}
+    # degrades to {0.5, 0.8}, which the fully trusting receiver combines
+    # to {0.725, 0.4}
+    world = _pair(([0.5 / 0.9], [0.8 / 0.9]), ([0.5], [0.0]), trust=1.0)
+    _send(world, 0, remembrance=0.81)
+    assert world.knowledge[1, 0] == pytest.approx(0.725, abs=EXACT)
+    assert world.belief[1, 0] == pytest.approx(0.4, abs=EXACT)
 
 
 def test_apply_feedback_transfer_zero_trust_changes_nothing():
-    sender = _plain_actor(0, [0.6, 0.4], [0.2, -0.1])
-    receiver = _plain_actor(1, [0.9, 0.9], [-1.0, 1.0])
     m = np.full((2, 2), 0.5)
     np.fill_diagonal(m, 1.0)
-    tm = TrustMatrix.uniform(2, 0.0)
-    out = apply_feedback_transfer(sender, receiver, 0, Ontology(m), tm)
-    assert out.kb == sender.kb
+    for mode in BELIEF_WEIGHT_MODES:
+        world = _pair(([0.6, 0.4], [0.2, -0.1]), ([0.9, 0.9], [-1.0, 1.0]), trust=0.0,
+                      ontology=Ontology(m))
+        _send(world, 0, comment=True, belief_weight_mode=mode)
+        assert np.array_equal(world.knowledge[0], [0.6, 0.4])
+        assert np.array_equal(world.belief[0], [0.2, -0.1])
 
 
 def test_apply_feedback_transfer_off_index_identity_ontology_unchanged():
-    sender = _plain_actor(0, [0.6, 0.4], [0.2, -0.1])
-    receiver = _plain_actor(1, [0.9, 0.9], [-1.0, 1.0])
-    tm = TrustMatrix.uniform(2, 1.0)
-    out = apply_feedback_transfer(sender, receiver, 0, Ontology.identity(2), tm)
-    assert out.kb[1].k == sender.kb[1].k and out.kb[1].b == sender.kb[1].b
+    for mode in BELIEF_WEIGHT_MODES:
+        world = _pair(([0.6, 0.4], [0.2, -0.1]), ([0.9, 0.9], [-1.0, 1.0]), trust=1.0)
+        _send(world, 0, comment=True, belief_weight_mode=mode)
+        assert world.knowledge[0, 1] == 0.4 and world.belief[0, 1] == -0.1
 
 
 def test_apply_feedback_transfer_literal_weighting_nullifies_belief():
     # the comment carries zero knowledge, so the zero-weighted learning
     # operator leaves the sender's belief untouched under literal weighting
-    sender = _plain_actor(0, [0.6], [0.2])
-    receiver = _plain_actor(1, [1.0], [-1.0])
-    tm = TrustMatrix.uniform(2, 1.0)
-    out = apply_feedback_transfer(sender, receiver, 0, Ontology.identity(1), tm)
-    assert out.kb[0].k == 0.6 and out.kb[0].b == 0.2
+    world = _pair(([0.6], [0.2]), ([1.0], [-1.0]), trust=1.0)
+    _send(world, 0, comment=True)
+    assert world.knowledge[0, 0] == 0.6 and world.belief[0, 0] == 0.2
 
 
 def test_apply_feedback_transfer_source_weighting_moves_belief():
-    sender = _plain_actor(0, [0.6], [0.2])
-    receiver = _plain_actor(1, [1.0], [-1.0])
-    tm = TrustMatrix.uniform(2, 1.0)
-    out = apply_feedback_transfer(
-        sender, receiver, 0, Ontology.identity(1), tm, belief_weight_mode="source"
-    )
-    assert out.kb[0].k == 0.6  # knowledge still untouched
-    assert out.kb[0].b == pytest.approx(0.2 + 1.0 * (-1.0) * (1 + 0.2), abs=EXACT)
+    world = _pair(([0.6], [0.2]), ([1.0], [-1.0]), trust=1.0)
+    _send(world, 0, comment=True, belief_weight_mode="source")
+    assert world.knowledge[0, 0] == 0.6  # knowledge still untouched
+    assert world.belief[0, 0] == pytest.approx(0.2 + 1.0 * (-1.0) * (1 + 0.2), abs=EXACT)
 
 
 def test_popularity_update_examples():
-    before = [KnowledgeBase([0.5], [0.4])]
-    assert popularity_update(0.37, before, before, 0) == pytest.approx(0.37, abs=EXACT)
+    # a receiver the send leaves unchanged adds nothing to the sender
+    unmoved = _pair(([0.9], [0.8]), ([0.5], [0.4]), willingness=0.0, popularity=0.37)
+    _send(unmoved, 0)
+    assert unmoved.knowledge[1, 0] == 0.5 and unmoved.belief[1, 0] == 0.4
+    assert unmoved.popularity[0] == pytest.approx(0.37, abs=EXACT)
 
-    jumped = [KnowledgeBase([1.0], [1.0])]
-    zeroed = [KnowledgeBase([0.0], [0.0])]
-    assert popularity_update(0.0, zeroed, jumped, 0) == pytest.approx(1.0, abs=EXACT)
+    jumped = _pair(([1.0], [1.0]), ([0.0], [0.0]))
+    _send(jumped, 0)
+    assert jumped.values()[1, 0] == pytest.approx(1.0, abs=EXACT)
+    assert jumped.popularity[0] == pytest.approx(1.0, abs=EXACT)
 
-    small = [KnowledgeBase([0.2], [1.0])]
-    bigger = [KnowledgeBase([0.4], [1.0])]
-    assert popularity_update(0.5, small, bigger, 0) == pytest.approx(0.6, abs=EXACT)
+    # a quarter of the sender's knowledge lifts the receiver from 0.2 to 0.4
+    grown = _pair(([0.25], [1.0]), ([0.2], [1.0]), popularity=0.5)
+    _send(grown, 0)
+    assert grown.values()[1, 0] == pytest.approx(0.4, abs=EXACT)
+    assert grown.popularity[0] == pytest.approx(0.6, abs=EXACT)
 
 
 def test_popularity_update_clamps_large_swings():
-    flip_before = [KnowledgeBase([1.0], [1.0])]
-    flip_after = [KnowledgeBase([1.0], [-1.0])]
-    assert popularity_update(0.0, flip_before, flip_after, 0) == 1.0
+    # the receiver's value flips from +1 to -1: a change of 2, clamped to 1
+    world = _pair(([1.0], [-1.0]), ([1.0], [1.0]))
+    _send(world, 0)
+    assert world.values()[1, 0] == pytest.approx(-1.0, abs=EXACT)
+    assert world.popularity[0] == 1.0
 
 
 def test_popularity_update_requires_receivers():
-    with pytest.raises(ValueError):
-        popularity_update(0.5, [], [], 0)
+    world = _pair(([0.5], [0.5]), ([0.5], [0.5]))
+    for profile in (StrategyProfile(True, ()), StrategyProfile.all_hold(0)):
+        with pytest.raises(ValueError):
+            execute_session(world, 0, [], 0, profile, TransferParams())
+    with pytest.raises(ConfigError):
+        ScenarioConfig(n_receivers=0).validate()
 
 
 def test_trust_update_examples():
@@ -225,25 +230,11 @@ def test_identity_session_is_a_no_op():
 def test_full_trust_send_matches_actor_level_transfer():
     world = _micro_world(trust=1.0, seed=3)
     params = TransferParams(remembrance=0.9)
-    receiver_before = world.actor(1)
-    sender_before = world.actor(0)
-    expected = apply_knowledge_transfer(
-        receiver_before,
-        Actor(
-            id=0,
-            kb=KnowledgeBase(
-                np.sqrt(0.9) * sender_before.kb.k, np.sqrt(0.9) * sender_before.kb.b
-            ),
-            personality=sender_before.personality,
-        ),
-        1,
-        world.ontology,
-        world.trust_matrix(),
-        params,
-    )
+    mirror = as_oracle_world(world)
+    oracle_session(mirror, 0, [1], 1, True, (False,), asdict(params))
     execute_session(world, 0, [1], 1, StrategyProfile(True, (False,)), params)
-    assert np.allclose(world.knowledge[1], expected.kb.k, atol=EXACT)
-    assert np.allclose(world.belief[1], expected.kb.b, atol=EXACT)
+    assert np.allclose(world.knowledge[1], mirror["k"][1], atol=EXACT)
+    assert np.allclose(world.belief[1], mirror["b"][1], atol=EXACT)
 
 
 def test_feedback_order_sensitivity_under_source_weighting():
@@ -334,33 +325,35 @@ def test_infeasible_profile_is_rejected():
 
 
 def test_perceived_belief_magnitude_is_bounded():
+    # "source" weighting spreads the perceived belief to every correlated
+    # index; a perceived belief beyond [-1, 1] would push a receiver's
+    # belief out of range, which the kernel's drift guard rejects
     rng = np.random.default_rng(13)
     for _ in range(500):
-        a_count = rng.integers(1, 5)
+        a_count = int(rng.integers(1, 5))
         m = rng.uniform(-1, 1, (a_count, a_count))
         np.fill_diagonal(m, 1.0)
-        receiver = KnowledgeBase(rng.uniform(0, 1, a_count), rng.uniform(-1, 1, a_count))
-        out = perceived_delta(
-            receiver,
-            Assertion(rng.uniform(0, 1), rng.uniform(-1, 1)),
-            index=int(rng.integers(a_count)),
-            target=int(rng.integers(a_count)),
-            ontology=Ontology(m),
+        world = _pair(
+            (rng.uniform(0, 1, a_count), rng.uniform(-1, 1, a_count)),
+            (rng.uniform(0, 1, a_count), rng.uniform(-1, 1, a_count)),
             trust=rng.uniform(0, 1),
+            ontology=Ontology(m),
             willingness=rng.uniform(0, 1),
         )
-        assert abs(out.b) <= 1.0 + EXACT
+        _send(world, int(rng.integers(a_count)), belief_weight_mode="source")
+        world.validate()
+        assert np.abs(world.belief[1]).max() <= 1.0 + EXACT
 
 
 def test_popularity_monotone_under_repeated_updates():
     rng = np.random.default_rng(14)
-    p = 0.0
-    trail = [p]
+    world = _pair(([0.5], [0.5]), ([0.5], [0.5]))
+    trail = [world.popularity[0]]
     for _ in range(200):
-        before = [KnowledgeBase([rng.uniform(0, 1)], [rng.uniform(-1, 1)])]
-        after = [KnowledgeBase([rng.uniform(0, 1)], [rng.uniform(-1, 1)])]
-        p = popularity_update(p, before, after, 0)
-        trail.append(p)
+        world.knowledge[:, 0] = rng.uniform(0, 1, 2)
+        world.belief[:, 0] = rng.uniform(-1, 1, 2)
+        _send(world, 0)
+        trail.append(world.popularity[0])
     diffs = np.diff(trail)
     assert np.all(diffs >= -EXACT) and trail[-1] <= 1.0
 
