@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from friendcast import knowledge
 from friendcast.game import StrategyProfile
 from friendcast.harness import ConfigError, ScenarioConfig
 from friendcast.knowledge import Assertion, Ontology, learn
@@ -324,23 +325,29 @@ def test_infeasible_profile_is_rejected():
         SessionOutcome(sent=False, assertion_index=0, responders=(1,))
 
 
-def test_perceived_belief_magnitude_is_bounded():
-    # "source" weighting spreads the perceived belief to every correlated
-    # index; a perceived belief beyond [-1, 1] would push a receiver's
-    # belief out of range, which the kernel's drift guard rejects
+def test_perceived_belief_magnitude_is_bounded(monkeypatch):
+    # "source" weighting spreads the perceived belief db to every correlated
+    # index. With learning weight 1 (willing receiver, fully known assertion)
+    # a receiver at belief b moves to b + db(1 - b) for db >= 0, so any
+    # |db| > 1 leaves [-1, 1] by (1 -+ b)(|db| - 1); the drift guard,
+    # tightened to EXACT, rejects that on every draw.
+    monkeypatch.setattr(knowledge, "DRIFT_TOLERANCE", EXACT)
     rng = np.random.default_rng(13)
     for _ in range(500):
         a_count = int(rng.integers(1, 5))
         m = rng.uniform(-1, 1, (a_count, a_count))
         np.fill_diagonal(m, 1.0)
+        index = int(rng.integers(a_count))
+        sender_k = rng.uniform(0, 1, a_count)
+        sender_k[index] = 1.0
         world = _pair(
-            (rng.uniform(0, 1, a_count), rng.uniform(-1, 1, a_count)),
+            (sender_k, rng.uniform(-1, 1, a_count)),
             (rng.uniform(0, 1, a_count), rng.uniform(-1, 1, a_count)),
             trust=rng.uniform(0, 1),
             ontology=Ontology(m),
-            willingness=rng.uniform(0, 1),
+            willingness=1.0,
         )
-        _send(world, int(rng.integers(a_count)), belief_weight_mode="source")
+        _send(world, index, belief_weight_mode="source")
         world.validate()
         assert np.abs(world.belief[1]).max() <= 1.0 + EXACT
 
