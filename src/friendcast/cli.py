@@ -183,10 +183,11 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
+# rng_seed is not sweepable: --seeds sets it for every run.
 _SWEEPABLE = {
     name: f.type
     for name, f in ScenarioConfig.__dataclass_fields__.items()
-    if name not in ("knowledge_tiers", "ontology", "ontology_belief_weight")
+    if name not in ("knowledge_tiers", "ontology", "ontology_belief_weight", "rng_seed")
 }
 
 

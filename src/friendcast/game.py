@@ -1,19 +1,27 @@
 """Payoff tensor construction and pure-equilibrium selection for one session.
 
 The sender and the N receivers play a one-shot game: the sender picks
-publish-or-hold, each receiver picks comment-or-stay-silent. Payoffs are
-the utility changes a hypothetical session would cause. The tensor is
-built by the star-local session kernel (`transfer.play_star`): it plays
-every cell on a copy of the star's own state, the sender's and receivers'
-rows and their trust columns, and never copies the world. Profiles that
-comment on an unpublished assertion are infeasible and collapse onto the
-all-hold cell.
+publish-or-hold, each receiver picks comment-or-stay-silent. A profile is
+N+1 bits, and its cell index is the only encoding: the sender's bit is the
+most significant, then one bit per receiver in friend-list order, so cell
+order is the lexicographic order of (send, *feedback). Player p's
+unilateral deviation is `cell ^ (1 << (N - p))`.
+
+Payoffs are the utility changes a hypothetical session would cause, one
+row per cell. The rows are built by the star-local session kernel
+(`transfer.play_star`), which plays every cell on a copy of the star's own
+state and never copies the world. Commenting on an unpublished assertion
+is infeasible: every hold row (sender bit 0) repeats the all-hold vector,
+so a deviation onto one needs no special case. Feasible cells are 0 and
+2^N ... 2^(N+1)-1.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .transfer import TransferParams, play_star
 from .world import World
@@ -26,50 +34,53 @@ class StrategyProfile:
     send: bool
     feedback: tuple[bool, ...]
 
-    def canonical(self) -> "StrategyProfile":
-        """Collapse infeasible feedback-without-send onto the all-hold profile."""
-        if not self.send and any(self.feedback):
-            return StrategyProfile(False, (False,) * len(self.feedback))
-        return self
+    @property
+    def cell(self) -> int:
+        """This profile's payoff row: the sender's bit, then each receiver's."""
+        cell = int(self.send)
+        for f in self.feedback:
+            cell = cell << 1 | int(f)
+        return cell
 
-    def with_sender(self, send: bool) -> "StrategyProfile":
-        return StrategyProfile(send, self.feedback)
-
-    def with_feedback(self, position: int, value: bool) -> "StrategyProfile":
-        f = list(self.feedback)
-        f[position] = value
-        return StrategyProfile(self.send, tuple(f))
-
-    def sort_key(self):
-        # hold before send, silent before feedback.
-        return (self.send, self.feedback)
+    @staticmethod
+    def from_cell(cell: int, n_receivers: int) -> "StrategyProfile":
+        bits = [bool(cell >> (n_receivers - p) & 1) for p in range(n_receivers + 1)]
+        return StrategyProfile(bits[0], tuple(bits[1:]))
 
     @staticmethod
     def all_hold(n_receivers: int) -> "StrategyProfile":
         return StrategyProfile(False, (False,) * n_receivers)
 
     @staticmethod
-    def enumerate_all(n_receivers: int):
-        """All 2^(N+1) profiles, feasible or not, in lexicographic order."""
-        for send in (False, True):
-            for fb in itertools.product((False, True), repeat=n_receivers):
-                yield StrategyProfile(send, fb)
-
-    @staticmethod
     def enumerate_canonical(n_receivers: int):
-        """The all-hold profile plus every send profile."""
-        yield StrategyProfile.all_hold(n_receivers)
-        for fb in itertools.product((False, True), repeat=n_receivers):
-            yield StrategyProfile(True, fb)
+        """The all-hold profile plus every send profile, in cell order."""
+        for cell in _layout(n_receivers)[0]:
+            yield StrategyProfile.from_cell(int(cell), n_receivers)
 
 
-@dataclass
+@functools.lru_cache(maxsize=None)
+def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The feasible cells, and the flat payoff index of every unilateral deviation.
+
+    Entry (cell, p) of the second array indexes the flattened payoffs at
+    row `cell ^ (1 << (N - p))`, column p.
+    """
+    players = np.arange(n_receivers + 1)
+    deviation = np.arange(2 << n_receivers)[:, None] ^ (1 << (n_receivers - players))
+    feasible = np.r_[0, (1 << n_receivers) : (2 << n_receivers)]
+    flat = deviation * (n_receivers + 1) + players
+    for shared in (feasible, flat):  # cached for every caller: read-only
+        shared.setflags(write=False)
+    return feasible, flat
+
+
+@dataclass(eq=False)
 class PayoffTensor:
-    """Utility deltas for every profile; player 0 is the sender, then receivers."""
+    """Utility deltas for every cell; player 0 is the sender, then receivers."""
 
     sender: int
     receivers: tuple[int, ...]
-    payoffs: dict[StrategyProfile, tuple[float, ...]]
+    payoffs: np.ndarray  # (2^(N+1), N+1), indexed by cell
 
     @property
     def n_receivers(self) -> int:
@@ -80,15 +91,18 @@ class PayoffTensor:
         return len(self.receivers) + 1
 
     def payoff(self, profile: StrategyProfile) -> tuple[float, ...]:
-        return self.payoffs[profile.canonical()]
+        if len(profile.feedback) != self.n_receivers:
+            raise ValueError("profile length does not match the receiver list")
+        return tuple(self.payoffs[profile.cell].tolist())
 
     def format_table(self) -> str:
         """Plain-text dump: one profile per line with its payoff vector."""
         lines = []
-        for profile in StrategyProfile.enumerate_all(self.n_receivers):
+        for cell, row in enumerate(self.payoffs.tolist()):
+            profile = StrategyProfile.from_cell(cell, self.n_receivers)
             actions = "S" if profile.send else "-"
             actions += "".join("F" if f else "-" for f in profile.feedback)
-            vec = " ".join(f"{v:+.6f}" for v in self.payoff(profile))
+            vec = " ".join(f"{v:+.6f}" for v in row)
             lines.append(f"{actions}  {vec}")
         return "\n".join(lines)
 
@@ -111,69 +125,46 @@ def build_payoff_tensor(
     receivers = tuple(int(r) for r in receivers)
     if sender in receivers:
         raise ValueError("receivers must be distinct from the sender")
-    feedback = list(itertools.product((False, True), repeat=len(receivers)))
-    star = play_star(world, sender, receivers, index, params, range(len(feedback)))
-    hold, cells = tuple(star.hold.tolist()), star.deltas.tolist()
-    payoffs = {StrategyProfile(False, feedback[0]): hold}
-    payoffs.update((StrategyProfile(True, fb), tuple(d)) for fb, d in zip(feedback, cells))
-    # Feedback without a send is infeasible and collapses onto the all-hold cell.
-    payoffs.update((StrategyProfile(False, fb), hold) for fb in feedback[1:])
+    star = play_star(world, sender, receivers, index, params, range(1 << len(receivers)))
+    # Every hold row repeats the all-hold vector: feedback without a send is void.
+    hold = np.repeat(star.hold[None], len(star.deltas), axis=0)
+    payoffs = np.concatenate([hold, star.deltas])
     return PayoffTensor(sender=int(sender), receivers=receivers, payoffs=payoffs)
 
 
-def _deviations(profile: StrategyProfile, player: int) -> StrategyProfile:
-    """The profile after `player` switches to its other action (canonicalized)."""
-    if player == 0:
-        return profile.with_sender(not profile.send).canonical()
-    pos = player - 1
-    return profile.with_feedback(pos, not profile.feedback[pos]).canonical()
+def _gains(tensor: PayoffTensor) -> np.ndarray:
+    """(cells, players): what each player gains by switching its own action."""
+    return tensor.payoffs.take(_layout(tensor.n_receivers)[1]) - tensor.payoffs
+
+
+def _stable(gains: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    return cells[~(gains[cells] > 0.0).any(axis=1)]
 
 
 def find_pure_nash(tensor: PayoffTensor) -> list[StrategyProfile]:
-    """All profiles where no single player strictly gains by switching action.
-
-    Only canonical profiles are reported; switching a feedback flag under a
-    held send is payoff-neutral by the collapse rule and never a strict
-    improvement.
-    """
-    equilibria = []
-    for profile in StrategyProfile.enumerate_canonical(tensor.n_receivers):
-        own = tensor.payoff(profile)
-        stable = True
-        for player in range(tensor.n_players):
-            alt = tensor.payoff(_deviations(profile, player))
-            if alt[player] > own[player]:
-                stable = False
-                break
-        if stable:
-            equilibria.append(profile)
-    return equilibria
-
-
-def _total_regret(tensor: PayoffTensor, profile: StrategyProfile) -> float:
-    own = tensor.payoff(profile)
-    total = 0.0
-    for player in range(tensor.n_players):
-        alt = tensor.payoff(_deviations(profile, player))
-        total += max(0.0, alt[player] - own[player])
-    return total
+    """All feasible profiles where no single player strictly gains by switching."""
+    stable = _stable(_gains(tensor), _layout(tensor.n_receivers)[0])
+    return [StrategyProfile.from_cell(int(c), tensor.n_receivers) for c in stable]
 
 
 def select_profile(tensor: PayoffTensor) -> StrategyProfile:
     """Pick the profile the session will actually play.
 
-    Among pure equilibria: maximal sender payoff first, then the
-    lexicographically first profile (hold before send, silent before
-    feedback per receiver). With no pure equilibrium, fall back to the
-    feasible profile minimizing the sum of unilateral regrets, same
-    tie-break.
+    Among pure equilibria: maximal sender payoff first, then the lowest
+    cell (hold before send, silent before feedback per receiver). With no
+    pure equilibrium, fall back to the feasible profile minimizing the sum
+    of unilateral regrets, same tie-break.
     """
-    equilibria = find_pure_nash(tensor)
-    if equilibria:
-        best_sender = max(tensor.payoff(e)[0] for e in equilibria)
-        candidates = [e for e in equilibria if tensor.payoff(e)[0] == best_sender]
-        return min(candidates, key=StrategyProfile.sort_key)
-    canonical = list(StrategyProfile.enumerate_canonical(tensor.n_receivers))
-    least = min(_total_regret(tensor, p) for p in canonical)
-    candidates = [p for p in canonical if _total_regret(tensor, p) == least]
-    return min(candidates, key=StrategyProfile.sort_key)
+    gains = _gains(tensor)
+    feasible = _layout(tensor.n_receivers)[0]
+    stable = _stable(gains, feasible)
+    if len(stable):
+        cell = stable[np.argmax(tensor.payoffs[stable, 0])]
+    else:
+        # Summed player by player from 0.0, as a Python loop over players
+        # would: numpy's row sum groups terms differently and can flip a tie.
+        regret = 0.0
+        for gain in np.maximum(gains[feasible], 0.0).T:
+            regret = regret + gain
+        cell = feasible[np.argmin(regret)]
+    return StrategyProfile.from_cell(int(cell), tensor.n_receivers)

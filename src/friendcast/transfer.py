@@ -80,14 +80,14 @@ class SessionOutcome:
             raise ValueError("feedback without a send is infeasible")
 
 
-def trust_update(t_old: float, b_sender: float, b_receiver: float, history_weight: float) -> float:
-    """Move directed trust toward agreement between two beliefs.
+def trust_update(t_old, b_sender, b_receiver, history_weight: float):
+    """Move directed trust toward agreement between two beliefs, elementwise.
 
     Perfect agreement pulls trust toward 1, maximal disagreement toward
     -1 before clamping; history_weight=1 freezes trust at its old value.
     """
-    delta = 1.0 - abs(b_sender - b_receiver)
-    return min(1.0, max(0.0, history_weight * t_old + (1.0 - history_weight) * delta))
+    delta = 1.0 - np.abs(b_sender - b_receiver)
+    return np.clip(history_weight * t_old + (1.0 - history_weight) * delta, 0.0, 1.0)
 
 
 # --- the star-local session kernel ------------------------------------------
@@ -116,8 +116,8 @@ class StarCells:
 def play_star(world: World, sender, receivers, index, params: TransferParams, masks) -> StarCells:
     """Play the all-hold session and one send per feedback mask on the star alone.
 
-    A send cell's mask has one bit per receiver, the first receiver's the
-    most significant, as in the lexicographic order of feedback profiles.
+    A send cell's mask is its cell index (see `game`) without the sender's
+    bit: one bit per receiver, the first receiver's the most significant.
     `world` is only read. Every cell is, element for element, the
     arithmetic of that session on the whole world, so its bits do not
     depend on the other cells. With no masks, `index` may be None.
@@ -163,9 +163,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ma
     # Receiver-side trust reacts to the agreement that held before the
     # transfer; the sender's popularity grows with what receivers learned.
     xi = params.trust_history_weight
-    columns[receivers, 0] = np.clip(
-        xi * trust_before + (1.0 - xi) * (1.0 - np.abs(b_sent - said[1:])), 0.0, 1.0
-    )
+    columns[receivers, 0] = trust_update(trust_before, b_sent, said[1:], xi)
     post_values = knowledge[1:, index] * belief[1:, index]
     delta_p = min(1.0, max(0.0, float(np.mean(np.abs(post_values - said_k[1:] * said[1:])))))
     popularity[0] = popularity[0] + delta_p - popularity[0] * delta_p
@@ -193,8 +191,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ma
             delta_p = np.minimum(1.0, np.abs(a_new - a_old)) / (n - 1)
         p = popularity[on, i]
         popularity[on, i] = p + delta_p - p * delta_p
-    for i in range(1, size):
-        columns[sender, i] = trust_update(columns[sender, i], said[0], said[i], xi)
+    columns[sender, 1:] = trust_update(columns[sender, 1:], b_sent, said[1:], xi)
 
     # Idle decay for every participant who neither sent nor commented.
     popularity = np.where(active, popularity, popularity * keep)
@@ -246,7 +243,8 @@ def execute_session(
     if send and index is None:
         raise ValueError("a send requires an assertion index")
 
-    mask = sum(1 << i for i, f in enumerate(reversed(profile.feedback)) if f)
+    # A send cell's feedback mask is its cell index without the sender's bit.
+    mask = profile.cell ^ (1 << len(receivers))
     star = play_star(world, sender, receivers, index, params, [mask] if send else [])
     if params.remembrance != 1.0:
         root = np.sqrt(params.remembrance)

@@ -147,6 +147,16 @@ def test_sweep_unknown_key_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_sweep_over_rng_seed_exits_one(tmp_path, capsys):
+    # --seeds already sets rng_seed; varying it too would write identical runs
+    out = tmp_path / "s"
+    code = main(["sweep", "--scenario", "trolls", "--vary", "rng_seed",
+                 "--values", "5,6", "--seeds", "1", "--out", str(out), *FAST])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown sweep parameter 'rng_seed'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("values, seeds", [("abc", "1"), ("1", "x"), ("1,2.5", "1")])
 def test_sweep_unparsable_value_or_seed_exits_one(tmp_path, capsys, values, seeds):
     out = tmp_path / "s"

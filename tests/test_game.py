@@ -20,13 +20,11 @@ from friendcast.world import World
 def tensor_from_cells(cells):
     """Build a tensor from {(send, feedback...): payoff vector} with collapse."""
     n_receivers = len(next(iter(cells))) - 1
-    payoffs = {}
-    hold = tuple(cells[(False,) + (False,) * n_receivers])
+    hold = cells[(False,) + (False,) * n_receivers]
+    payoffs = np.array([hold] * (2 << n_receivers), dtype=float)
     for key, vec in cells.items():
-        profile = StrategyProfile(key[0], tuple(key[1:]))
-        payoffs[profile] = hold if profile.canonical() != profile else tuple(vec)
-    for profile in StrategyProfile.enumerate_all(n_receivers):
-        payoffs.setdefault(profile, hold)
+        if key[0]:
+            payoffs[StrategyProfile(key[0], tuple(key[1:])).cell] = vec
     return PayoffTensor(sender=0, receivers=tuple(range(1, n_receivers + 1)), payoffs=payoffs)
 
 
@@ -152,7 +150,7 @@ def test_selection_never_returns_infeasible_profiles():
             cells[key] = tuple(rng.normal(size=n_receivers + 1))
         tensor = tensor_from_cells(cells)
         chosen = select_profile(tensor)
-        assert chosen == chosen.canonical()
+        assert chosen.send or not any(chosen.feedback)
 
 
 def test_find_pure_nash_matches_brute_force_on_random_tensors():
@@ -178,9 +176,78 @@ def test_scale_covariance_of_equilibrium_set():
         scaled = PayoffTensor(
             sender=tensor.sender,
             receivers=tensor.receivers,
-            payoffs={p: tuple(scale * v for v in vec) for p, vec in tensor.payoffs.items()},
+            payoffs=scale * tensor.payoffs,
         )
         assert find_pure_nash(tensor) == find_pure_nash(scaled)
+
+
+def test_cell_encoding_round_trips_in_tuple_order():
+    for n_receivers in range(1, 5):
+        profiles = [
+            StrategyProfile(bits[0], bits[1:])
+            for bits in itertools.product((False, True), repeat=n_receivers + 1)
+        ]
+        # itertools.product yields (send, *feedback) tuples in lexicographic order
+        assert [p.cell for p in profiles] == list(range(2 << n_receivers))
+        for profile in profiles:
+            assert StrategyProfile.from_cell(profile.cell, n_receivers) == profile
+
+
+def test_payoff_rejects_a_profile_of_another_size():
+    cells = {key: (0.0, 1.0, 2.0) for key in itertools.product((False, True), repeat=3)}
+    tensor = tensor_from_cells(cells)
+    # (True, True) would read row 3, a hold row of this two-receiver tensor
+    for profile in (StrategyProfile(True, (True,)), StrategyProfile(True, (True,) * 3)):
+        with pytest.raises(ValueError):
+            tensor.payoff(profile)
+
+
+def brute_force_selection(cells, n_receivers):
+    """Oracle: the selection rule over (send, *feedback) tuples, without cells."""
+    hold = (False,) * (n_receivers + 1)
+    feasible = [hold] + [
+        (True, *fb) for fb in itertools.product((False, True), repeat=n_receivers)
+    ]
+
+    def payoff(bits):
+        return cells[bits] if bits[0] else cells[hold]
+
+    def gains(bits):
+        own = payoff(bits)
+        return [
+            payoff(bits[:i] + (not bits[i],) + bits[i + 1:])[i] - own[i]
+            for i in range(n_receivers + 1)
+        ]
+
+    equilibria = [bits for bits in feasible if all(g <= 0.0 for g in gains(bits))]
+    if equilibria:
+        best = max(payoff(bits)[0] for bits in equilibria)
+        return min(bits for bits in equilibria if payoff(bits)[0] == best), False
+    regret = {}
+    for bits in feasible:
+        total = 0.0
+        for g in gains(bits):
+            total += max(0.0, g)
+        regret[bits] = total
+    least = min(regret.values())
+    return min(bits for bits in feasible if regret[bits] == least), True
+
+
+def test_select_profile_matches_brute_force_selection():
+    # small integer payoffs give frequent ties and games with no pure equilibrium
+    rng = np.random.default_rng(27)
+    fallbacks = 0
+    for _ in range(1000):
+        n_receivers = int(rng.integers(1, 5))
+        cells = {
+            key: tuple(rng.integers(-2, 3, size=n_receivers + 1).astype(float))
+            for key in itertools.product((False, True), repeat=n_receivers + 1)
+        }
+        chosen = select_profile(tensor_from_cells(cells))
+        expected, fallback = brute_force_selection(cells, n_receivers)
+        assert (chosen.send, *chosen.feedback) == expected
+        fallbacks += fallback
+    assert 0 < fallbacks < 1000
 
 
 # --- tensors built from worlds ---------------------------------------------
@@ -232,7 +299,7 @@ def test_tensor_matches_per_profile_sessions_exactly():
             scratch = world.copy()
             outcome = execute_session(scratch, sender, receivers, index, profile, params)
             naive = tuple(outcome.utility_deltas[p] for p in (sender, *receivers))
-            assert tensor.payoffs[profile] == naive
+            assert tensor.payoff(profile) == naive
 
 
 def test_tensor_construction_is_deterministic_and_leaves_world_alone():
@@ -241,7 +308,7 @@ def test_tensor_construction_is_deterministic_and_leaves_world_alone():
     snapshot = world.copy()
     t1 = build_payoff_tensor(world, sender, receivers, index, params)
     t2 = build_payoff_tensor(world, sender, receivers, index, params)
-    assert t1.payoffs == t2.payoffs
+    assert np.array_equal(t1.payoffs, t2.payoffs)
     assert np.array_equal(world.knowledge, snapshot.knowledge)
     assert np.array_equal(world.belief, snapshot.belief)
     assert np.array_equal(world.trust, snapshot.trust)
@@ -301,3 +368,20 @@ def test_format_table_lists_every_profile():
     table = tensor.format_table()
     assert len(table.splitlines()) == 4
     assert "S-" in table and "SF" in table
+
+
+def test_format_table_lists_profiles_in_lexicographic_order():
+    cells = {
+        (False, False, False): (0.0, 0.0, 0.0),
+        (True, False, False): (1.0, 0.0, 0.0),
+        (True, False, True): (1.0, 0.0, 2.0),
+        (True, True, False): (1.0, 3.0, 0.0),
+        (True, True, True): (4.0, 3.0, 2.0),
+    }
+    lines = tensor_from_cells(cells).format_table().splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "---", "--F", "-F-", "-FF", "S--", "S-F", "SF-", "SFF",
+    ]
+    # comments without a send show the all-hold vector
+    assert all(line.endswith("+0.000000 +0.000000 +0.000000") for line in lines[:4])
+    assert lines[7] == "SFF  +4.000000 +3.000000 +2.000000"
