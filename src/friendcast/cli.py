@@ -7,15 +7,18 @@ Subcommands:
   sweep      run the cross product of one varied parameter and a seed list
 
 Outputs are byte-stable: identical config + seed + version produce
-identical files.
+identical files. Each file is written under a temporary name and renamed
+into place once complete, so an interrupted run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,37 +42,44 @@ SUMMARY_HEADER = [
 CONVERGENCE_THRESHOLD = 0.9
 
 
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Write to a temporary file beside `path` and rename it into place once complete.
+
+    On an error the temporary file is removed, so `path` never holds a
+    partial output.
+    """
+    partial = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(partial, "w", newline="") as handle:
+            yield handle
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with _replacing(path) as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def write_snapshots(path: Path, result: RunResult) -> None:
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(SNAPSHOT_HEADER)
-        for snap in result.snapshots:
-            out.writerow(
-                [snap.step, snap.mean_value, snap.mean_abs_value, snap.std_value]
-                + [int(c) for c in snap.histogram]
-            )
+    _write_csv(path, SNAPSHOT_HEADER, (
+        [snap.step, snap.mean_value, snap.mean_abs_value, snap.std_value] + [int(c) for c in snap.histogram]
+        for snap in result.snapshots
+    ))
 
 
 def write_actors(path: Path, result: RunResult) -> None:
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(ACTOR_HEADER)
-        for snap in result.snapshots:
-            for actor_id in range(len(snap.actor_mean_value)):
-                out.writerow(
-                    [
-                        snap.step,
-                        actor_id,
-                        float(snap.actor_mean_value[actor_id]),
-                        float(snap.actor_mean_abs_value[actor_id]),
-                        float(snap.actor_popularity[actor_id]),
-                        float(snap.actor_reputation[actor_id]),
-                    ]
-                )
+    _write_csv(path, ACTOR_HEADER, (
+        [snap.step, actor_id, float(value), float(knowledge), float(popularity), float(reputation)]
+        for snap in result.snapshots
+        for actor_id, (value, knowledge, popularity, reputation) in enumerate(zip(
+            snap.actor_mean_value, snap.actor_mean_abs_value, snap.actor_popularity, snap.actor_reputation
+        ))
+    ))
 
 
 def summary_row(scenario: str, cfg: ScenarioConfig, result: RunResult) -> list:
@@ -86,10 +96,7 @@ def summary_row(scenario: str, cfg: ScenarioConfig, result: RunResult) -> list:
 
 
 def write_summary(path: Path, rows: list[list]) -> None:
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(SUMMARY_HEADER)
-        out.writerows(rows)
+    _write_csv(path, SUMMARY_HEADER, rows)
 
 
 def write_manifest(path: Path, scenario: str, cfg: ScenarioConfig, outputs: list[str]) -> None:
@@ -100,7 +107,7 @@ def write_manifest(path: Path, scenario: str, cfg: ScenarioConfig, outputs: list
         "outputs": outputs,
         "config": cfg.to_dict(),
     }
-    with open(path, "w", newline="") as handle:
+    with _replacing(path) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -135,12 +142,9 @@ def resolve_config(args) -> tuple[str, ScenarioConfig]:
         base.update(load_config_file(args.config))
         if not args.scenario:
             label = Path(args.config).stem
-    if args.seed is not None:
-        base["rng_seed"] = args.seed
-    if args.steps is not None:
-        base["n_steps"] = args.steps
-    if args.snapshot_every is not None:
-        base["snapshot_every"] = args.snapshot_every
+    for key, value in (("rng_seed", args.seed), ("n_steps", args.steps), ("snapshot_every", args.snapshot_every)):
+        if value is not None:
+            base[key] = value
     try:
         return label, ScenarioConfig.from_dict(base)
     except (ConfigError, TypeError, ValueError) as err:

@@ -8,12 +8,11 @@ order is the lexicographic order of (send, *feedback). Player p's
 unilateral deviation is `cell ^ (1 << (N - p))`.
 
 Payoffs are the utility changes a hypothetical session would cause, one
-row per cell. The rows are built by the star-local session kernel
-(`transfer.play_star`), which plays every cell on a copy of the star's own
-state and never copies the world. Commenting on an unpublished assertion
-is infeasible: every hold row (sender bit 0) repeats the all-hold vector,
-so a deviation onto one needs no special case. Feasible cells are 0 and
-2^N ... 2^(N+1)-1.
+row per cell. The star-local session kernel (`transfer.play_star`) plays
+the feasible cells, 0 and 2^N ... 2^(N+1)-1, along one cell axis on a copy
+of the star's own state, and never copies the world. Commenting on an
+unpublished assertion is infeasible: every hold row (sender bit 0) repeats
+the all-hold row 0, so a deviation onto one needs no special case.
 """
 
 from __future__ import annotations
@@ -59,19 +58,21 @@ class StrategyProfile:
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray]:
-    """The feasible cells, and the flat payoff index of every unilateral deviation.
+def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feasible cells, the flat payoff index of every deviation, and each cell's played row.
 
     Entry (cell, p) of the second array indexes the flattened payoffs at
-    row `cell ^ (1 << (N - p))`, column p.
+    row `cell ^ (1 << (N - p))`, column p. The third maps every cell to its
+    row among the feasible cells: each hold cell to row 0, the all-hold.
     """
     players = np.arange(n_receivers + 1)
     deviation = np.arange(2 << n_receivers)[:, None] ^ (1 << (n_receivers - players))
     feasible = np.r_[0, (1 << n_receivers) : (2 << n_receivers)]
     flat = deviation * (n_receivers + 1) + players
-    for shared in (feasible, flat):  # cached for every caller: read-only
+    played = np.r_[np.zeros(1 << n_receivers, dtype=int), 1 : len(feasible)]
+    for shared in (feasible, flat, played):  # cached for every caller: read-only
         shared.setflags(write=False)
-    return feasible, flat
+    return feasible, flat, played
 
 
 @dataclass(eq=False)
@@ -114,22 +115,20 @@ def build_payoff_tensor(
     index: int,
     params: TransferParams,
 ) -> PayoffTensor:
-    """Play the all-hold session and every send cell on the star's state.
+    """Play the feasible cells on the star's state and expand them to every cell.
 
     Forgetting and idle decay run identically inside every hypothetical
     session, so differences between cells isolate the action choices. The
     input world is never modified. Each cell equals the utility deltas
     `execute_session` reports for its profile, bit for bit, because both
-    run the same kernel.
+    run the same kernel and a cell's bits do not depend on the others.
     """
     receivers = tuple(int(r) for r in receivers)
     if sender in receivers:
         raise ValueError("receivers must be distinct from the sender")
-    star = play_star(world, sender, receivers, index, params, range(1 << len(receivers)))
-    # Every hold row repeats the all-hold vector: feedback without a send is void.
-    hold = np.repeat(star.hold[None], len(star.deltas), axis=0)
-    payoffs = np.concatenate([hold, star.deltas])
-    return PayoffTensor(sender=int(sender), receivers=receivers, payoffs=payoffs)
+    feasible, _, played = _layout(len(receivers))
+    star = play_star(world, sender, receivers, index, params, feasible)
+    return PayoffTensor(sender=int(sender), receivers=receivers, payoffs=star.deltas[played])
 
 
 def _gains(tensor: PayoffTensor) -> np.ndarray:

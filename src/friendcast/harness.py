@@ -82,17 +82,11 @@ class ScenarioConfig:
         if self.ontology_belief_weight not in BELIEF_WEIGHT_MODES:
             raise ConfigError(f"unknown ontology_belief_weight {self.ontology_belief_weight!r}")
         if not isinstance(self.ontology, str):
-            Ontology(self.ontology)  # raises on a malformed matrix
+            size = Ontology(self.ontology).size  # raises on a malformed matrix
+            if size != self.n_assertions:
+                raise ConfigError(f"explicit ontology is {size}x{size}, n_assertions is {self.n_assertions}")
         elif self.ontology != "identity":
             raise ConfigError(f"unknown ontology preset {self.ontology!r}")
-
-    def build_ontology(self) -> Ontology:
-        if isinstance(self.ontology, str):
-            return Ontology.identity(self.n_assertions)
-        m = np.asarray(self.ontology, dtype=float)
-        if m.shape != (self.n_assertions, self.n_assertions):
-            raise ConfigError("explicit ontology shape does not match n_assertions")
-        return Ontology(m)
 
     def transfer_params(self) -> TransferParams:
         return TransferParams(
@@ -189,7 +183,7 @@ def init_population(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
         trust=trust,
         personality=personality,
         willingness=np.full(n, float(cfg.willingness)),
-        ontology=cfg.build_ontology(),
+        ontology=Ontology.identity(a) if isinstance(cfg.ontology, str) else Ontology(cfg.ontology),
     )
 
 
@@ -213,7 +207,7 @@ def step(world: World, cfg: ScenarioConfig, rng: np.random.Generator) -> Session
         profile = StrategyProfile.all_hold(cfg.n_receivers)
         return execute_session(world, sender, receivers, None, profile, params)
 
-    index = int(rng.choice(known))
+    index = int(known[rng.integers(known.size)])  # draws as rng.choice(known) does
     tensor = build_payoff_tensor(world, sender, receivers, index, params)
     profile = select_profile(tensor)
     return execute_session(world, sender, receivers, index, profile, params)

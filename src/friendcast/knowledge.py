@@ -26,25 +26,17 @@ class DriftError(ArithmeticError):
     """A result left its valid range by more than floating-point drift."""
 
 
-def _clamped(value: float, lo: float, hi: float) -> float:
-    if value < lo:
-        if lo - value > DRIFT_TOLERANCE:
-            raise DriftError(f"value {value!r} below {lo} beyond drift tolerance")
-        return lo
-    if value > hi:
-        if value - hi > DRIFT_TOLERANCE:
-            raise DriftError(f"value {value!r} above {hi} beyond drift tolerance")
-        return hi
-    return value
-
-
 def clamped_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Clamp an array into [lo, hi], rejecting excursions beyond drift; no copy if inside."""
     low = values.min()
     high = values.max()
     if lo - low > DRIFT_TOLERANCE or high - hi > DRIFT_TOLERANCE:
-        raise DriftError(f"array range [{low!r}, {high!r}] outside [{lo}, {hi}]")
-    return np.clip(values, lo, hi) if low < lo or high > hi else values
+        raise DriftError(f"range [{low!r}, {high!r}] outside [{lo}, {hi}] beyond drift tolerance")
+    return np.minimum(np.maximum(values, lo), hi) if low < lo or high > hi else values
+
+
+def _clamped(value: float, lo: float, hi: float) -> float:
+    return float(clamped_array(np.float64(value), lo, hi))
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,17 @@ reputation scale against each other. The rules chosen here:
   at full scale, a comment's popularity outweighed its reputation effect
   for every personality, so reputation-driven actors commented on every
   disagreement exactly like popularity-driven ones.
+
+`play_star` plays these rules on the star alone, for the cells it is
+given along one cell axis (cell 0 is the all-hold): it reads and writes
+only the participants' k and b rows and popularity, and the trust columns
+that give their reputations. The payoff tensor and `execute_session` both
+call it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,44 +94,49 @@ def trust_update(t_old, b_sender, b_receiver, history_weight: float):
     -1 before clamping; history_weight=1 freezes trust at its old value.
     """
     delta = 1.0 - np.abs(b_sender - b_receiver)
-    return np.clip(history_weight * t_old + (1.0 - history_weight) * delta, 0.0, 1.0)
+    return np.minimum(np.maximum(history_weight * t_old + (1.0 - history_weight) * delta, 0.0), 1.0)
 
 
-# --- the star-local session kernel ------------------------------------------
-#
-# A session reads and writes only its star: the participants' k and b rows
-# and popularity, and the trust columns that give their reputations.
+@functools.lru_cache(maxsize=None)
+def _acts(n_receivers: int) -> np.ndarray:
+    """(2^(N+1), N+1) flags: who sends or comments in each cell (see `game`); read-only."""
+    acts = (np.arange(2 << n_receivers)[:, None] >> np.arange(n_receivers, -1, -1) & 1).astype(bool)
+    acts.setflags(write=False)
+    return acts
 
 
 @dataclass
 class StarCells:
-    """Outcome of hypothetical sessions on a star: the all-hold one and send cells.
+    """Outcome of hypothetical sessions on a star, one row per cell played.
 
-    Rows are the sender, then the receivers in friend-list order. Holding
-    only forgets and decays, so only send cells keep their final state.
+    Within a cell, entries are the sender, then the receivers in friend-list
+    order. The trust vectors are shared: a send moves them alike in every
+    sending cell, and they stay as they were when no cell sends.
     """
 
-    hold: np.ndarray  # (N+1,) utility changes of the all-hold session
-    deltas: np.ndarray | None = None  # (C, N+1) utility changes of the send cells
-    knowledge: np.ndarray | None = None  # (N+1, A), the same in every cell: comments carry none
-    belief: np.ndarray | None = None  # (C, N+1, A)
-    popularity: np.ndarray | None = None  # (C, N+1)
-    trust_in_sender: np.ndarray | None = None  # (N,) receivers' trust in the sender after the send
-    trust_in_receivers: np.ndarray | None = None  # (N,) sender's trust in each after its comment
+    deltas: np.ndarray  # (C, N+1) utility changes
+    knowledge: np.ndarray  # (C, N+1, A)
+    belief: np.ndarray  # (C, N+1, A)
+    popularity: np.ndarray  # (C, N+1)
+    trust_in_sender: np.ndarray  # (N,) receivers' trust in the sender after a send
+    trust_in_receivers: np.ndarray  # (N,) sender's trust in each after its comment
 
 
-def play_star(world: World, sender, receivers, index, params: TransferParams, masks) -> StarCells:
-    """Play the all-hold session and one send per feedback mask on the star alone.
+def play_star(world: World, sender, receivers, index, params: TransferParams, cells) -> StarCells:
+    """Play the session of each given cell on the star alone.
 
-    A send cell's mask is its cell index (see `game`) without the sender's
-    bit: one bit per receiver, the first receiver's the most significant.
-    `world` is only read. Every cell is, element for element, the
-    arithmetic of that session on the whole world, so its bits do not
-    depend on the other cells. With no masks, `index` may be None.
+    Cells use `game`'s encoding: the sender's bit most significant, then
+    one bit per receiver, the first receiver's the most significant. Cell
+    0 is the all-hold session, in which every participant is inactive,
+    forgets and decays. `world` is only read. Every cell is, element for
+    element, the arithmetic of that session on the whole world, so its bits
+    do not depend on the other cells. When no cell sends, `index` may be None.
     """
     ids = np.array([sender, *receivers])
     receivers = ids[1:]
     size, n = len(ids), world.n_actors
+    acts = _acts(size - 1)[cells]  # (C, N+1)
+    sends = acts[:, 0]
     weights = world.personality[ids]
     knowledge, belief = world.knowledge[ids], world.belief[ids]
     popularity = world.popularity[ids]
@@ -138,67 +150,68 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ma
         root = np.sqrt(params.remembrance)
         knowledge = knowledge * root
         belief = belief * root
-    keep = 1.0 - params.popularity_decay
-    hold = utility_of(weights, knowledge, belief, reputation, popularity * keep) - u_before
-    if len(masks) == 0:
-        return StarCells(hold)
+    # The post-forget star, once per cell; a send rewrites its own cells.
+    cell_knowledge = knowledge[None].repeat(len(acts), axis=0)
+    cell_belief = belief[None].repeat(len(acts), axis=0)
+    cell_popularity = popularity[None].repeat(len(acts), axis=0)
+    if sends.any():
+        # Post-forget tuples: a comment carries the responder's own, and both
+        # trust updates compare these beliefs.
+        said_k, said = knowledge[:, index], belief[:, index]
+        k_sent, b_sent = said_k[0], said[0]
+        trust_before = columns[receivers, 0]
+        guess = belief[1:] @ world.ontology.m[:, index] / world.n_assertions
+        mix = trust_before * b_sent + (1.0 - trust_before) * guess
+        dk = world.willingness[receivers] * k_sent
+        learned_k = clamped_array(combined_knowledge(said_k[1:], dk), 0.0, 1.0)
+        cell_knowledge[sends, 1:, index] = learned_k
+        if params.belief_weight_mode == "transferred":
+            # Zero knowledge arrives off the transferred index, so the learning
+            # operator leaves every other belief exactly unchanged.
+            learned = clamped_array(combined_belief(said[1:], mix, dk), -1.0, 1.0)
+            cell_belief[sends, 1:, index] = learned
+        else:
+            db = mix[:, None] * world.ontology.m[index]  # np.outer's product
+            learned_rows = clamped_array(combined_belief(belief[1:], db, dk[:, None]), -1.0, 1.0)
+            cell_belief[sends, 1:] = learned_rows
+            learned = learned_rows[:, index]
 
-    # Post-forget tuples: a comment carries the responder's own, and both
-    # trust updates compare these beliefs.
-    said_k, said = knowledge[:, index].copy(), belief[:, index].copy()
-    k_sent, b_sent = said_k[0], said[0]
-    trust_before = columns[receivers, 0]
-    guess = belief[1:] @ world.ontology.m[:, index] / world.n_assertions
-    mix = trust_before * b_sent + (1.0 - trust_before) * guess
-    dk = world.willingness[receivers] * k_sent
-    knowledge[1:, index] = clamped_array(combined_knowledge(said_k[1:], dk), 0.0, 1.0)
-    if params.belief_weight_mode == "transferred":
-        # Zero knowledge arrives off the transferred index, so the learning
-        # operator leaves every other belief exactly unchanged.
-        belief[1:, index] = clamped_array(combined_belief(said[1:], mix, dk), -1.0, 1.0)
-    else:
-        db = np.outer(mix, world.ontology.m[index])
-        belief[1:] = clamped_array(combined_belief(belief[1:], db, dk[:, None]), -1.0, 1.0)
+        # Receiver-side trust reacts to the agreement that held before the
+        # transfer; the sender's popularity grows with what receivers learned.
+        xi = params.trust_history_weight
+        columns[receivers, 0] = trust_update(trust_before, b_sent, said[1:], xi)
+        gained = np.abs(learned_k * learned - said_k[1:] * said[1:]).sum() / (size - 1)
+        delta_p = min(1.0, max(0.0, float(gained)))
+        cell_popularity[sends, 0] = popularity[0] + delta_p - popularity[0] * delta_p
 
-    # Receiver-side trust reacts to the agreement that held before the
-    # transfer; the sender's popularity grows with what receivers learned.
-    xi = params.trust_history_weight
-    columns[receivers, 0] = trust_update(trust_before, b_sent, said[1:], xi)
-    post_values = knowledge[1:, index] * belief[1:, index]
-    delta_p = min(1.0, max(0.0, float(np.mean(np.abs(post_values - said_k[1:] * said[1:])))))
-    popularity[0] = popularity[0] + delta_p - popularity[0] * delta_p
-
-    # Comments in friend-list order, each applied at once to every cell
-    # whose mask has the responder's bit.
-    active = np.ones((len(masks), size), dtype=bool)  # who sent or commented
-    active[:, 1:] = np.asarray(masks)[:, None] >> np.arange(size - 2, -1, -1) & 1
-    belief = np.repeat(belief[None], len(masks), axis=0)
-    popularity = np.repeat(popularity[None], len(masks), axis=0)
-    for i in range(1, size):
-        on = active[:, i]
-        if not on.any():
-            continue
-        delta_p = 0.0  # a "transferred" comment carries zero knowledge: only trust moves
+        # Comments in friend-list order, each applied at once to every cell
+        # in which the responder comments. A "transferred" comment carries
+        # zero knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
-            b_sender = belief[on, 0]
-            a_old = knowledge[0, index] * b_sender[:, index]
-            db = world.ontology.m[index] * (columns[sender, i] * said[i])
-            b_sender = clamped_array(combined_belief(b_sender, db, said_k[i]), -1.0, 1.0)
-            belief[on, 0] = b_sender
-            # The comment changed one actor, so it credits popularity on the
-            # scale one trust entry has in reputation: 1/(n-1) per actor.
-            a_new = knowledge[0, index] * b_sender[:, index]
-            delta_p = np.minimum(1.0, np.abs(a_new - a_old)) / (n - 1)
-        p = popularity[on, i]
-        popularity[on, i] = p + delta_p - p * delta_p
-    columns[sender, 1:] = trust_update(columns[sender, 1:], b_sent, said[1:], xi)
+            for i in range(1, size):
+                on = acts[:, i]
+                if not on.any():
+                    continue
+                b_sender = cell_belief[on, 0]
+                a_old = k_sent * b_sender[:, index]
+                db = world.ontology.m[index] * (columns[sender, i] * said[i])
+                b_sender = clamped_array(combined_belief(b_sender, db, said_k[i]), -1.0, 1.0)
+                cell_belief[on, 0] = b_sender
+                # The comment changed one actor, so it credits popularity on the
+                # scale one trust entry has in reputation: 1/(n-1) per actor.
+                a_new = k_sent * b_sender[:, index]
+                delta_p = np.minimum(1.0, np.abs(a_new - a_old)) / (n - 1)
+                p = cell_popularity[on, i]
+                cell_popularity[on, i] = p + delta_p - p * delta_p
+        columns[sender, 1:] = trust_update(columns[sender, 1:], b_sent, said[1:], xi)
 
     # Idle decay for every participant who neither sent nor commented.
-    popularity = np.where(active, popularity, popularity * keep)
-    reputation = np.where(active, reputation_of(columns, self_trust), reputation)
-    deltas = utility_of(weights, knowledge, belief, reputation, popularity) - u_before
+    keep = 1.0 - params.popularity_decay
+    cell_popularity = np.where(acts, cell_popularity, cell_popularity * keep)
+    reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
+    deltas = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity) - u_before
     return StarCells(
-        hold, deltas, knowledge, belief, popularity, columns[receivers, 0], columns[sender, 1:]
+        deltas, cell_knowledge, cell_belief, cell_popularity, columns[receivers, 0], columns[sender, 1:]
     )
 
 
@@ -228,7 +241,7 @@ def execute_session(
     sender's value change over n - 1. PAPER.md does not settle these rules;
     the module docstring gives the grounding.
 
-    `play_star` plays the session on the star alone and a send's final star
+    `play_star` plays the session on the star alone and its final star
     state is written back; everyone else only forgets and decays.
     """
     receivers = list(receivers)
@@ -243,9 +256,7 @@ def execute_session(
     if send and index is None:
         raise ValueError("a send requires an assertion index")
 
-    # A send cell's feedback mask is its cell index without the sender's bit.
-    mask = profile.cell ^ (1 << len(receivers))
-    star = play_star(world, sender, receivers, index, params, [mask] if send else [])
+    star = play_star(world, sender, receivers, index, params, [profile.cell])
     if params.remembrance != 1.0:
         root = np.sqrt(params.remembrance)
         world.knowledge *= root
@@ -253,16 +264,14 @@ def execute_session(
     if params.popularity_decay != 0.0:
         world.popularity *= 1.0 - params.popularity_decay
     participants = [sender, *receivers]
-    if send:
-        world.knowledge[participants] = star.knowledge
-        world.belief[participants] = star.belief[0]
-        world.popularity[participants] = star.popularity[0]
-        world.trust[receivers, sender] = star.trust_in_sender
-        world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]
-    deltas = star.deltas[0] if send else star.hold
+    world.knowledge[participants] = star.knowledge[0]
+    world.belief[participants] = star.belief[0]
+    world.popularity[participants] = star.popularity[0]
+    world.trust[receivers, sender] = star.trust_in_sender
+    world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]
     return SessionOutcome(
         sent=send,
         assertion_index=index,
         responders=tuple(responders),
-        utility_deltas={p: float(d) for p, d in zip(participants, deltas)},
+        utility_deltas={p: float(d) for p, d in zip(participants, star.deltas[0])},
     )

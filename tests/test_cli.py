@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from friendcast import cli
 from friendcast.cli import main
 
 FAST = [
@@ -63,6 +65,39 @@ def test_run_unwritable_output_exits_two(tmp_path, capsys):
     blocker.write_text("file, not a directory")
     code = main(["run", "--scenario", "experts", "--out", str(blocker), *FAST])
     assert code == 2
+
+
+class FailingColumn:
+    """An actor column that raises OSError at one actor, as a disk filling up mid-write would."""
+
+    def __init__(self, values, fail_at):
+        self.values, self.fail_at = values, fail_at
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if i == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return self.values[i]
+
+
+def test_run_interrupted_while_writing_actors_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    simulate = cli.simulate
+
+    def failing(cfg):
+        result = simulate(cfg)
+        last = result.snapshots[-1]
+        last.actor_reputation = FailingColumn(last.actor_reputation, fail_at=5)
+        return result
+
+    monkeypatch.setattr(cli, "simulate", failing)
+    out = tmp_path / "r"
+    code = main(["run", "--scenario", "experts", "--out", str(out), "--per-actor", *FAST])
+    assert code == 2
+    assert "No space left on device" in capsys.readouterr().err
+    # Complete files only: no actors.csv, no temporary file, no manifest listing them.
+    assert sorted(p.name for p in out.iterdir()) == ["snapshots.csv", "summary.csv"]
 
 
 def test_per_actor_table(tmp_path):
@@ -165,6 +200,17 @@ def test_sweep_unparsable_value_or_seed_exits_one(tmp_path, capsys, values, seed
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_sweep_outgrowing_an_explicit_ontology_fails_before_any_run(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_assertions": 4, "ontology": np.eye(4).tolist()}))
+    out = tmp_path / "s"
+    code = main(["sweep", "--config", str(config), "--vary", "n_assertions",
+                 "--values", "4,5", "--seeds", "1", "--out", str(out), *FAST])
+    assert code == 1
+    assert not out.exists()
+    assert "n_assertions is 5" in capsys.readouterr().err
 
 
 def test_sweep_breaking_personality_convexity_fails_validation(tmp_path):

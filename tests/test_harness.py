@@ -101,6 +101,16 @@ def test_step_is_deterministic_given_seed():
     assert [o.responders for o in o1] == [o.responders for o in o2]
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 10, 33])
+def test_assertion_draw_consumes_the_generator_as_choice_does(size):
+    # step draws the assertion by index; the golden runs were drawn with rng.choice(known).
+    known = np.arange(size) * 3 + 1
+    for seed in range(200):
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert known[by_index.integers(known.size)] == by_choice.choice(known)
+        assert by_index.random() == by_choice.random()
+
+
 def test_ignorant_sender_is_forced_to_hold():
     cfg = tiny_config(knowledge_tiers=[[1.0, 0.0]], popularity_decay=0.0)
     rng = np.random.default_rng(1)
@@ -213,3 +223,8 @@ def test_explicit_ontology_is_used():
     mismatched = tiny_config(ontology=[[1.0, 0.0], [0.0, 1.0]])  # 2x2 for 3 assertions
     with pytest.raises(ConfigError):
         init_population(mismatched, np.random.default_rng(0))
+
+
+def test_explicit_ontology_must_match_n_assertions():
+    with pytest.raises(ConfigError, match="n_assertions"):
+        tiny_config(n_assertions=5, ontology=[[1.0, 0.0], [0.0, 1.0]]).validate()

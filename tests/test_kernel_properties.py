@@ -7,16 +7,19 @@ Every canonical cell of the payoff tensor must match the loop-based
 session oracle, and must equal, bit for bit, the session that
 `execute_session` plays on a copy of the world; building the tensor must
 leave the world alone, and a session must write trust only in the star's
-columns.
+columns. Each cell the kernel plays must come out bit for bit the same
+whether it is played alone or along the cell axis with the others.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendcast.game import StrategyProfile, build_payoff_tensor
+from friendcast.game import StrategyProfile, _layout, build_payoff_tensor
 from friendcast.knowledge import Ontology
-from friendcast.transfer import BELIEF_WEIGHT_MODES, TransferParams, execute_session
+from friendcast.transfer import BELIEF_WEIGHT_MODES, TransferParams, execute_session, play_star
 from friendcast.world import World
 
 from session_oracle import oracle_session
@@ -107,3 +110,29 @@ def test_every_cell_matches_the_oracle_and_the_played_session(game):
         # A session writes trust only in the star's columns.
         assert np.array_equal(played.trust[:, outside], world.trust[:, outside])
         played.validate()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(games(), st.sampled_from(BELIEF_WEIGHT_MODES), st.floats(0.0, 1.0, exclude_max=True))
+def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance):
+    world, sender, receivers, index, params = game
+    params = dataclasses.replace(params, belief_weight_mode=mode, remembrance=remembrance)
+    feasible = _layout(len(receivers))[0]
+    star = play_star(world, sender, receivers, index, params, feasible)
+    for row, cell in enumerate(feasible):
+        alone = play_star(world, sender, receivers, index, params, [cell])
+        for key in ("deltas", "knowledge", "belief", "popularity"):
+            assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
+        if cell:  # a send moves the trust vectors alike in every sending cell
+            for key in ("trust_in_sender", "trust_in_receivers"):
+                assert same_bits(getattr(alone, key), getattr(star, key))
+
+    payoffs = build_payoff_tensor(world, sender, receivers, index, params).payoffs
+    for hold in payoffs[: 1 << len(receivers)]:
+        assert same_bits(hold, payoffs[0])
+    assert same_bits(payoffs[0], star.deltas[0])
+    assert same_bits(payoffs[1 << len(receivers) :], star.deltas[1:])
