@@ -166,6 +166,14 @@ def _run_one(task) -> list:
     return row
 
 
+def _attempt(task) -> tuple[list | None, str | None]:
+    """One sweep run: its summary row, or why it failed, so the other runs still go ahead."""
+    try:
+        return _run_one(task), None
+    except Exception as err:
+        return None, f"{type(err).__name__}: {err}"
+
+
 def cmd_run(args) -> int:
     scenario, cfg = resolve_config(args)
     _run_one((scenario, cfg, Path(args.out), args.per_actor))
@@ -223,13 +231,17 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_run_one, tasks))
+            results = list(pool.map(_attempt, tasks))
     else:
-        rows = [_run_one(t) for t in tasks]
+        results = [_attempt(t) for t in tasks]
+    rows = [row for row, _ in results if row is not None]
     out_root.mkdir(parents=True, exist_ok=True)
     write_summary(out_root / "summary.csv", rows)
     print(f"wrote {len(rows)} runs under {out_root}")
-    return 0
+    for task, (_, error) in zip(tasks, results):
+        if error is not None:
+            print(f"error: run {task[2].name} failed: {error}", file=sys.stderr)
+    return 0 if len(rows) == len(tasks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,17 +12,19 @@ row per cell. The star-local session kernel (`transfer.play_star`) plays
 the feasible cells, 0 and 2^N ... 2^(N+1)-1, along one cell axis on a copy
 of the star's own state, and never copies the world. Commenting on an
 unpublished assertion is infeasible: every hold row (sender bit 0) repeats
-the all-hold row 0, so a deviation onto one needs no special case.
+the all-hold row 0, so a deviation onto one needs no special case. The
+selected profile carries its row of the played star, which
+`transfer.execute_session` commits without playing the session again.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transfer import TransferParams, play_star
+from .transfer import StarCells, TransferParams, play_star
 from .world import World
 
 
@@ -32,6 +34,8 @@ class StrategyProfile:
 
     send: bool
     feedback: tuple[bool, ...]
+    # The (star, row) that holds this session, when selected from a built tensor; not compared.
+    played: tuple[StarCells, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def cell(self) -> int:
@@ -42,9 +46,9 @@ class StrategyProfile:
         return cell
 
     @staticmethod
-    def from_cell(cell: int, n_receivers: int) -> "StrategyProfile":
+    def from_cell(cell: int, n_receivers: int, played=None) -> "StrategyProfile":
         bits = [bool(cell >> (n_receivers - p) & 1) for p in range(n_receivers + 1)]
-        return StrategyProfile(bits[0], tuple(bits[1:]))
+        return StrategyProfile(bits[0], tuple(bits[1:]), played)
 
     @staticmethod
     def all_hold(n_receivers: int) -> "StrategyProfile":
@@ -82,14 +86,11 @@ class PayoffTensor:
     sender: int
     receivers: tuple[int, ...]
     payoffs: np.ndarray  # (2^(N+1), N+1), indexed by cell
+    star: StarCells | None = field(default=None, repr=False)  # the feasible cells, when played
 
     @property
     def n_receivers(self) -> int:
         return len(self.receivers)
-
-    @property
-    def n_players(self) -> int:
-        return len(self.receivers) + 1
 
     def payoff(self, profile: StrategyProfile) -> tuple[float, ...]:
         if len(profile.feedback) != self.n_receivers:
@@ -119,16 +120,16 @@ def build_payoff_tensor(
 
     Forgetting and idle decay run identically inside every hypothetical
     session, so differences between cells isolate the action choices. The
-    input world is never modified. Each cell equals the utility deltas
-    `execute_session` reports for its profile, bit for bit, because both
-    run the same kernel and a cell's bits do not depend on the others.
+    input world is never modified. The played star stays on the tensor,
+    and `execute_session` commits its row for the selected profile: a
+    cell's bits do not depend on the others, so a row is its session.
     """
     receivers = tuple(int(r) for r in receivers)
     if sender in receivers:
         raise ValueError("receivers must be distinct from the sender")
     feasible, _, played = _layout(len(receivers))
     star = play_star(world, sender, receivers, index, params, feasible)
-    return PayoffTensor(sender=int(sender), receivers=receivers, payoffs=star.deltas[played])
+    return PayoffTensor(int(sender), receivers, star.deltas[played], star)
 
 
 def _gains(tensor: PayoffTensor) -> np.ndarray:
@@ -152,7 +153,8 @@ def select_profile(tensor: PayoffTensor) -> StrategyProfile:
     Among pure equilibria: maximal sender payoff first, then the lowest
     cell (hold before send, silent before feedback per receiver). With no
     pure equilibrium, fall back to the feasible profile minimizing the sum
-    of unilateral regrets, same tie-break.
+    of unilateral regrets, same tie-break. The profile carries the tensor's
+    played star and its row there; a hand-built tensor's carries none.
     """
     gains = _gains(tensor)
     feasible = _layout(tensor.n_receivers)[0]
@@ -166,4 +168,5 @@ def select_profile(tensor: PayoffTensor) -> StrategyProfile:
         for gain in np.maximum(gains[feasible], 0.0).T:
             regret = regret + gain
         cell = feasible[np.argmin(regret)]
-    return StrategyProfile.from_cell(int(cell), tensor.n_receivers)
+    played = None if tensor.star is None else (tensor.star, int(_layout(tensor.n_receivers)[2][cell]))
+    return StrategyProfile.from_cell(int(cell), tensor.n_receivers, played)

@@ -31,8 +31,8 @@ reputation scale against each other. The rules chosen here:
 `play_star` plays these rules on the star alone, for the cells it is
 given along one cell axis (cell 0 is the all-hold): it reads and writes
 only the participants' k and b rows and popularity, and the trust columns
-that give their reputations. The payoff tensor and `execute_session` both
-call it.
+that give their reputations. A step plays its star once: the payoff tensor
+plays every feasible cell, and `execute_session` commits the selected row.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ class StarCells:
     sending cell, and they stay as they were when no cell sends.
     """
 
+    session: tuple  # (sender, receivers, index, params) the cells were played for
     deltas: np.ndarray  # (C, N+1) utility changes
     knowledge: np.ndarray  # (C, N+1, A)
     belief: np.ndarray  # (C, N+1, A)
@@ -132,6 +133,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
     element, the arithmetic of that session on the whole world, so its bits
     do not depend on the other cells. When no cell sends, `index` may be None.
     """
+    session = (sender, tuple(receivers), index, params)
     ids = np.array([sender, *receivers])
     receivers = ids[1:]
     size, n = len(ids), world.n_actors
@@ -211,7 +213,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
     reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
     deltas = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity) - u_before
     return StarCells(
-        deltas, cell_knowledge, cell_belief, cell_popularity, columns[receivers, 0], columns[sender, 1:]
+        session, deltas, cell_knowledge, cell_belief, cell_popularity, columns[receivers, 0], columns[sender, 1:]
     )
 
 
@@ -241,8 +243,8 @@ def execute_session(
     sender's value change over n - 1. PAPER.md does not settle these rules;
     the module docstring gives the grounding.
 
-    `play_star` plays the session on the star alone and its final star
-    state is written back; everyone else only forgets and decays.
+    A profile selected from a tensor brings the star row it commits; any
+    other profile is played here. Everyone else forgets and decays.
     """
     receivers = list(receivers)
     if not receivers or sender in receivers or len(set(receivers)) != len(receivers):
@@ -256,7 +258,9 @@ def execute_session(
     if send and index is None:
         raise ValueError("a send requires an assertion index")
 
-    star = play_star(world, sender, receivers, index, params, [profile.cell])
+    star, row = profile.played or (play_star(world, sender, receivers, index, params, [profile.cell]), 0)
+    if star.session != (sender, tuple(receivers), index, params):
+        raise ValueError("the profile's star was played for another session")
     if params.remembrance != 1.0:
         root = np.sqrt(params.remembrance)
         world.knowledge *= root
@@ -264,14 +268,15 @@ def execute_session(
     if params.popularity_decay != 0.0:
         world.popularity *= 1.0 - params.popularity_decay
     participants = [sender, *receivers]
-    world.knowledge[participants] = star.knowledge[0]
-    world.belief[participants] = star.belief[0]
-    world.popularity[participants] = star.popularity[0]
-    world.trust[receivers, sender] = star.trust_in_sender
-    world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]
+    world.knowledge[participants] = star.knowledge[row]
+    world.belief[participants] = star.belief[row]
+    world.popularity[participants] = star.popularity[row]
+    if send:  # the trust vectors hold a send's update even when a hold was chosen
+        world.trust[receivers, sender] = star.trust_in_sender
+        world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]
     return SessionOutcome(
         sent=send,
         assertion_index=index,
         responders=tuple(responders),
-        utility_deltas={p: float(d) for p, d in zip(participants, star.deltas[0])},
+        utility_deltas={p: float(d) for p, d in zip(participants, star.deltas[row])},
     )

@@ -220,6 +220,22 @@ def test_sweep_breaking_personality_convexity_fails_validation(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_with_a_failing_run_names_it_and_keeps_the_others(tmp_path, capsys, jobs):
+    out = tmp_path / "s"
+    out.mkdir()
+    (out / "n_receivers=2_seed=1").write_text("a file where the run's directory should go")
+    code = main(["sweep", "--scenario", "experts", "--vary", "n_receivers", "--values", "1,2,3",
+                 "--seeds", "1", "--out", str(out), "--steps", "50", "--jobs", jobs])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run n_receivers=2_seed=1 failed: FileExistsError")
+    assert err.count("error:") == 1
+    rows = read(out / "summary.csv").splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["experts[n_receivers=1]", "experts[n_receivers=3]"]
+    assert (out / "n_receivers=3_seed=1" / "manifest.json").exists()
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     serial, parallel = tmp_path / "s", tmp_path / "p"
     base = ["sweep", "--scenario", "trolls", "--vary", "remembrance",

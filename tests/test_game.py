@@ -34,7 +34,7 @@ def brute_force_nash(tensor):
     for profile in StrategyProfile.enumerate_canonical(tensor.n_receivers):
         own = tensor.payoff(profile)
         ok = True
-        for player in range(tensor.n_players):
+        for player in range(tensor.n_receivers + 1):
             for alternative in (False, True):
                 if player == 0:
                     other = StrategyProfile(alternative, profile.feedback)

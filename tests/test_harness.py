@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from friendcast import harness
+from friendcast import game, harness, transfer
 from friendcast.harness import (
     ConfigError,
     ScenarioConfig,
@@ -13,6 +13,7 @@ from friendcast.harness import (
     step,
     take_snapshot,
 )
+from friendcast.scenarios import scenario_config
 
 
 def tiny_config(**overrides):
@@ -120,6 +121,33 @@ def test_ignorant_sender_is_forced_to_hold():
     assert not out.sent and out.assertion_index is None
     assert np.array_equal(world.knowledge, before.knowledge)
     assert np.array_equal(world.trust, before.trust)
+
+
+@pytest.mark.parametrize("scenario, tiers", [
+    ("experts", None),
+    ("experts", [[0.5, 0.0], [0.5, 0.9]]),  # half the senders start out knowing nothing
+    ("trolls", None),
+])
+def test_a_step_plays_its_star_once(monkeypatch, scenario, tiers):
+    calls = {"tensor": 0, "session": 0}
+
+    def counted(module, key):
+        play_star = module.play_star
+
+        def wrapper(*args):
+            calls[key] += 1
+            return play_star(*args)
+
+        monkeypatch.setattr(module, "play_star", wrapper)
+
+    counted(game, "tensor")
+    counted(transfer, "session")
+    overrides = {} if tiers is None else {"knowledge_tiers": tiers}
+    result = simulate(scenario_config(scenario, n_steps=300, snapshot_every=100, rng_seed=3, **overrides))
+    assert result.sends > 0
+    assert calls["tensor"] + calls["session"] == 300
+    # Only a sender who knows nothing skips the tensor, and its hold is played alone.
+    assert (calls["session"] > 0) == (tiers is not None)
 
 
 def test_two_actor_world_always_pairs_them():

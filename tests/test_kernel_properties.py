@@ -8,16 +8,24 @@ session oracle, and must equal, bit for bit, the session that
 `execute_session` plays on a copy of the world; building the tensor must
 leave the world alone, and a session must write trust only in the star's
 columns. Each cell the kernel plays must come out bit for bit the same
-whether it is played alone or along the cell axis with the others.
+whether it is played alone or along the cell axis with the others, and
+committing a tensor's row must do to the world exactly what playing that
+session does.
+
+Three metamorphic relations need no oracle: relabelling the actors or
+the assertions leaves the tensor unchanged, and under "transferred"
+weighting swapping two receivers swaps their bits and payoff columns.
 """
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from friendcast.game import StrategyProfile, _layout, build_payoff_tensor
+import pytest
+
+from friendcast.game import PayoffTensor, StrategyProfile, _layout, build_payoff_tensor, select_profile
 from friendcast.knowledge import Ontology
 from friendcast.transfer import BELIEF_WEIGHT_MODES, TransferParams, execute_session, play_star
 from friendcast.world import World
@@ -136,3 +144,139 @@ def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance)
         assert same_bits(hold, payoffs[0])
     assert same_bits(payoffs[0], star.deltas[0])
     assert same_bits(payoffs[1 << len(receivers) :], star.deltas[1:])
+
+
+WORLD_KEYS = ("knowledge", "belief", "popularity", "trust")
+
+
+@PROPERTY
+@given(
+    games(),
+    st.sampled_from(BELIEF_WEIGHT_MODES),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_committing_a_tensor_row_equals_playing_its_session(game, mode, remembrance, decay):
+    world, sender, receivers, index, params = game
+    params = dataclasses.replace(params, belief_weight_mode=mode, remembrance=remembrance, popularity_decay=decay)
+    tensor = build_payoff_tensor(world, sender, receivers, index, params)
+    chosen = select_profile(tensor)
+    assert chosen.played == (tensor.star, _layout(len(receivers))[2][chosen.cell])
+    hand_built = PayoffTensor(tensor.sender, tensor.receivers, tensor.payoffs)
+    assert select_profile(hand_built) == chosen and select_profile(hand_built).played is None
+    # Every feasible row, carried as select_profile carries the chosen one.
+    rows = [chosen] + [
+        StrategyProfile.from_cell(int(cell), len(receivers), (tensor.star, row))
+        for row, cell in enumerate(_layout(len(receivers))[0])
+    ]
+    for carried in rows:
+        committed, played = world.copy(), world.copy()
+        outcome = execute_session(committed, sender, receivers, index, carried, params)
+        bare = StrategyProfile(carried.send, carried.feedback)
+        assert bare.played is None and bare == carried
+        expected = execute_session(played, sender, receivers, index, bare, params)
+        assert outcome == expected
+        for key in WORLD_KEYS:
+            assert same_bits(getattr(committed, key), getattr(played, key))
+
+
+def disagreeing_world():
+    """Three reputation-driven actors; the sender disbelieves what both others believe."""
+    return World(
+        knowledge=np.array([[1.0, 0.5], [0.5, 0.5], [0.5, 0.5]]),
+        belief=np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]]),
+        popularity=np.zeros(3),
+        trust=np.full((3, 3), 0.5) + 0.5 * np.eye(3),
+        personality=np.tile([0.0, 1.0, 0.0], (3, 1)),
+        willingness=np.ones(3),
+        ontology=Ontology.identity(2),
+    )
+
+
+def test_a_hold_chosen_beside_a_feasible_send_leaves_trust_alone():
+    world, params = disagreeing_world(), TransferParams()
+    tensor = build_payoff_tensor(world, 0, [1], 0, params)
+    chosen = select_profile(tensor)
+    assert chosen == StrategyProfile.all_hold(1) and chosen.played[1] == 0
+    # The played star's trust vectors hold the send's update, which a hold must not commit.
+    assert not np.array_equal(tensor.star.trust_in_sender, world.trust[[1], 0])
+    before = world.copy()
+    outcome = execute_session(world, 0, [1], 0, chosen, params)
+    assert not outcome.sent and outcome.utility_deltas == {0: 0.0, 1: 0.0}
+    for key in WORLD_KEYS:
+        assert same_bits(getattr(world, key), getattr(before, key))
+
+
+@pytest.mark.parametrize("receivers, index, params", [
+    ([2], 0, TransferParams()),
+    ([1, 2], 0, TransferParams()),
+    ([1], 1, TransferParams()),
+    ([1], 0, TransferParams(remembrance=0.5)),
+])
+def test_a_carried_row_committed_to_another_session_raises(receivers, index, params):
+    world = disagreeing_world()
+    chosen = select_profile(build_payoff_tensor(world, 0, [1], 0, TransferParams()))
+    carried = StrategyProfile(chosen.send, (False,) * len(receivers), chosen.played)
+    before = world.copy()
+    with pytest.raises(ValueError, match="another session"):
+        execute_session(world, 0, receivers, index, carried, params)
+    for key in WORLD_KEYS:
+        assert same_bits(getattr(world, key), getattr(before, key))
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_relabelling_the_actors_keeps_the_tensor(game, data):
+    world, sender, receivers, index, params = game
+    label = np.array(data.draw(st.permutations(range(world.n_actors))))  # actor i becomes label[i]
+    order = np.argsort(label)
+    relabelled = World(
+        knowledge=world.knowledge[order],
+        belief=world.belief[order],
+        popularity=world.popularity[order],
+        trust=world.trust[np.ix_(order, order)],
+        personality=world.personality[order],
+        willingness=world.willingness[order],
+        ontology=world.ontology,
+    )
+    tensor = build_payoff_tensor(world, sender, receivers, index, params)
+    moved = build_payoff_tensor(relabelled, label[sender], label[receivers], index, params)
+    assert np.abs(moved.payoffs - tensor.payoffs).max() <= TOL
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_relabelling_the_assertions_keeps_the_tensor(game, data):
+    world, sender, receivers, index, params = game
+    label = np.array(data.draw(st.permutations(range(world.n_assertions))))  # assertion a becomes label[a]
+    order = np.argsort(label)
+    relabelled = dataclasses.replace(
+        world,
+        knowledge=world.knowledge[:, order],
+        belief=world.belief[:, order],
+        ontology=Ontology(world.ontology.m[np.ix_(order, order)]),
+    )
+    tensor = build_payoff_tensor(world, sender, receivers, index, params)
+    moved = build_payoff_tensor(relabelled, sender, receivers, int(label[index]), params)
+    assert np.abs(moved.payoffs - tensor.payoffs).max() <= TOL
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_swapping_two_receivers_swaps_their_bits_and_columns(game, data):
+    world, sender, receivers, index, params = game
+    n = len(receivers)
+    assume(n >= 2)
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    params = dataclasses.replace(params, belief_weight_mode="transferred")
+    swapped = list(receivers)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    # Players i+1 and j+1 own bits n-1-i and n-1-j of a cell.
+    cells = np.arange(2 << n)
+    bit_i, bit_j = cells >> (n - 1 - i) & 1, cells >> (n - 1 - j) & 1
+    moved_cells = cells ^ ((bit_i ^ bit_j) << (n - 1 - i)) ^ ((bit_i ^ bit_j) << (n - 1 - j))
+    players = np.arange(n + 1)
+    players[[i + 1, j + 1]] = players[[j + 1, i + 1]]
+    tensor = build_payoff_tensor(world, sender, receivers, index, params)
+    moved = build_payoff_tensor(world, sender, swapped, index, params)
+    assert np.array_equal(moved.payoffs[moved_cells][:, players], tensor.payoffs)
