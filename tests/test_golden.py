@@ -54,6 +54,8 @@ CASES = {
         seed=6,
         config={"n_actors": 300, "remembrance": 0.999, "popularity_decay": 0.05},
     ),
+    # Five receivers comment in a chain across 2^5 feedback cells.
+    "trolls-N5": dict(scenario="trolls", seed=8, config={"n_receivers": 5}),
 }
 STEPS = 2000
 SNAPSHOT_EVERY = 100
@@ -84,6 +86,11 @@ GOLDEN = {
         "snapshots.csv": "62d855de78b9ddebf663ee681b499a953ac9ad70972919309fccc132c66174a4",
         "summary.csv": "d8653aaf9e2a6db881809e24896b6d92b577568e429bc1dfdf8560ebc4ba237e",
         "actors.csv": "3dbd90ad78845ad51f11663d4c437a73d9a3f456edf511cd5fbcd59c89b6602c",
+    },
+    "trolls-N5": {
+        "snapshots.csv": "135a682fdf00689f189e83bc1279f91df68872f25785eb3f42b3dcbff99ea9c0",
+        "summary.csv": "118f9f33e3e13a17c1ffb56aca76e0ff8546eda3f00e9f0694a9694e7a4bc96d",
+        "actors.csv": "d1c67154149d6dbbe63ef7263cef616b956aa642bb8b7b0472724dfcf6936cb8",
     },
     "trolls-signed-ontology-N3": {
         "snapshots.csv": "bc0b2989ec470bc1b321c22c298ccca084eac21e0e75bbb434689a9dbb38ee9f",
