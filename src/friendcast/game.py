@@ -63,20 +63,20 @@ class StrategyProfile:
 
 @functools.lru_cache(maxsize=None)
 def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The feasible cells, the flat payoff index of every deviation, and each cell's played row.
+    """The feasible cells, the flat payoff index of their deviations, and each cell's played row.
 
-    Entry (cell, p) of the second array indexes the flattened payoffs at
-    row `cell ^ (1 << (N - p))`, column p. The third maps every cell to its
-    row among the feasible cells: each hold cell to row 0, the all-hold.
+    Entry (row, p) of the second array indexes the flattened payoffs at
+    cell `feasible[row] ^ (1 << (N - p))`, column p. The third maps every
+    cell to its row among the feasible cells: each hold cell to row 0, the
+    all-hold.
     """
     players = np.arange(n_receivers + 1)
-    deviation = np.arange(2 << n_receivers)[:, None] ^ (1 << (n_receivers - players))
     feasible = np.r_[0, (1 << n_receivers) : (2 << n_receivers)]
-    flat = deviation * (n_receivers + 1) + players
+    deviations = (feasible[:, None] ^ (1 << (n_receivers - players))) * (n_receivers + 1) + players
     played = np.r_[np.zeros(1 << n_receivers, dtype=int), 1 : len(feasible)]
-    for shared in (feasible, flat, played):  # cached for every caller: read-only
+    for shared in (feasible, deviations, played):  # cached for every caller: read-only
         shared.setflags(write=False)
-    return feasible, flat, played
+    return feasible, deviations, played
 
 
 @dataclass(eq=False)
@@ -132,19 +132,16 @@ def build_payoff_tensor(
     return PayoffTensor(int(sender), receivers, star.deltas[played], star)
 
 
-def _gains(tensor: PayoffTensor) -> np.ndarray:
-    """(cells, players): what each player gains by switching its own action."""
-    return tensor.payoffs.take(_layout(tensor.n_receivers)[1]) - tensor.payoffs
-
-
-def _stable(gains: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    return cells[~(gains[cells] > 0.0).any(axis=1)]
+def _gains(tensor: PayoffTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feasible cells, what each player gains there by switching its own action, and the stable cells."""
+    feasible, deviations, _ = _layout(tensor.n_receivers)
+    gains = tensor.payoffs.take(deviations) - tensor.payoffs[feasible]
+    return feasible, gains, feasible[~(gains > 0.0).any(axis=1)]
 
 
 def find_pure_nash(tensor: PayoffTensor) -> list[StrategyProfile]:
     """All feasible profiles where no single player strictly gains by switching."""
-    stable = _stable(_gains(tensor), _layout(tensor.n_receivers)[0])
-    return [StrategyProfile.from_cell(int(c), tensor.n_receivers) for c in stable]
+    return [StrategyProfile.from_cell(int(c), tensor.n_receivers) for c in _gains(tensor)[2]]
 
 
 def select_profile(tensor: PayoffTensor) -> StrategyProfile:
@@ -156,16 +153,14 @@ def select_profile(tensor: PayoffTensor) -> StrategyProfile:
     of unilateral regrets, same tie-break. The profile carries the tensor's
     played star and its row there; a hand-built tensor's carries none.
     """
-    gains = _gains(tensor)
-    feasible = _layout(tensor.n_receivers)[0]
-    stable = _stable(gains, feasible)
+    feasible, gains, stable = _gains(tensor)
     if len(stable):
         cell = stable[np.argmax(tensor.payoffs[stable, 0])]
     else:
         # Summed player by player from 0.0, as a Python loop over players
         # would: numpy's row sum groups terms differently and can flip a tie.
         regret = 0.0
-        for gain in np.maximum(gains[feasible], 0.0).T:
+        for gain in np.maximum(gains, 0.0).T:
             regret = regret + gain
         cell = feasible[np.argmin(regret)]
     played = None if tensor.star is None else (tensor.star, int(_layout(tensor.n_receivers)[2][cell]))

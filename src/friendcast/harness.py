@@ -199,10 +199,10 @@ def step(world: World, cfg: ScenarioConfig, rng: np.random.Generator) -> Session
     # Draw among the n - 1 others by position, then skip over the sender:
     # this consumes the generator exactly as drawing from the id array would.
     picks = rng.choice(n - 1, size=cfg.n_receivers, replace=False)
-    receivers = [int(r + (r >= sender)) for r in picks]
+    receivers = [r + (r >= sender) for r in picks.tolist()]
     params = cfg.transfer_params()
 
-    known = np.flatnonzero(world.knowledge[sender] > 0.0)
+    known = (world.knowledge[sender] > 0.0).nonzero()[0]
     if known.size == 0:
         profile = StrategyProfile.all_hold(cfg.n_receivers)
         return execute_session(world, sender, receivers, None, profile, params)

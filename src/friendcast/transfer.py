@@ -33,6 +33,14 @@ given along one cell axis (cell 0 is the all-hold): it reads and writes
 only the participants' k and b rows and popularity, and the trust columns
 that give their reputations. A step plays its star once: the payoff tensor
 plays every feasible cell, and `execute_session` commits the selected row.
+Along the cell axis the star's arrays carry one extra row, the star before
+the session, so that one utility pass gives every cell's deltas. Both trust
+updates compare the same post-forget beliefs, so they are one call on the
+stacked pair of trust vectors. Under "source" weighting the comments are
+one chain over the whole cell axis: each receiver in turn sways the
+sender's belief in every row, and the result is kept only in the rows
+where that receiver comments. The sender's value after each comment then
+credits every responder's popularity in one pass.
 """
 
 from __future__ import annotations
@@ -99,8 +107,12 @@ def trust_update(t_old, b_sender, b_receiver, history_weight: float):
 
 @functools.lru_cache(maxsize=None)
 def _acts(n_receivers: int) -> np.ndarray:
-    """(2^(N+1), N+1) flags: who sends or comments in each cell (see `game`); read-only."""
-    acts = (np.arange(2 << n_receivers)[:, None] >> np.arange(n_receivers, -1, -1) & 1).astype(bool)
+    """(2^(N+1) + 1, N+1) flags: who sends or comments in each cell (see `game`); read-only.
+
+    The extra last row, in which nobody acts, is the star before the session.
+    """
+    acts = np.zeros(((2 << n_receivers) + 1, n_receivers + 1), dtype=bool)
+    acts[:-1] = np.arange(2 << n_receivers)[:, None] >> np.arange(n_receivers, -1, -1) & 1
     acts.setflags(write=False)
     return acts
 
@@ -132,38 +144,47 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
     forgets and decays. `world` is only read. Every cell is, element for
     element, the arithmetic of that session on the whole world, so its bits
     do not depend on the other cells. When no cell sends, `index` may be None.
+
+    The state arrays hold a row per cell and then the star before the
+    session, in which nobody acts, forgets or decays; the deltas are each
+    cell's utility less that row's. Both trust updates are one call on the
+    pair of trust vectors. A "source" comment chain runs on every row and is
+    kept where the receiver comments, so a silent receiver's value change is
+    exactly 0 and the popularity credit leaves its bits alone.
     """
     session = (sender, tuple(receivers), index, params)
     ids = np.array([sender, *receivers])
     receivers = ids[1:]
     size, n = len(ids), world.n_actors
-    acts = _acts(size - 1)[cells]  # (C, N+1)
+    acts = _acts(size - 1)[np.concatenate((cells, [-1]))]  # (C+1, N+1)
     sends = acts[:, 0]
     weights = world.personality[ids]
     knowledge, belief = world.knowledge[ids], world.belief[ids]
     popularity = world.popularity[ids]
+    cell_knowledge = knowledge[None].repeat(len(acts), axis=0)
+    cell_belief = belief[None].repeat(len(acts), axis=0)
+    cell_popularity = popularity[None].repeat(len(acts), axis=0)
     # A column-contiguous copy, summed column by column as World.reputations sums it.
     columns = world.trust[:, ids]
     self_trust = world.trust[ids, ids]
     reputation = reputation_of(columns, self_trust)
-    u_before = utility_of(weights, knowledge, belief, reputation, popularity)
+    # The receivers' trust in the sender, then the sender's in each receiver.
+    trust = np.array((columns[receivers, 0], columns[sender, 1:]))
 
     if params.remembrance != 1.0:
         root = np.sqrt(params.remembrance)
         knowledge = knowledge * root
         belief = belief * root
-    # The post-forget star, once per cell; a send rewrites its own cells.
-    cell_knowledge = knowledge[None].repeat(len(acts), axis=0)
-    cell_belief = belief[None].repeat(len(acts), axis=0)
-    cell_popularity = popularity[None].repeat(len(acts), axis=0)
+        cell_knowledge[:-1] = knowledge
+        cell_belief[:-1] = belief
     if sends.any():
         # Post-forget tuples: a comment carries the responder's own, and both
         # trust updates compare these beliefs.
         said_k, said = knowledge[:, index], belief[:, index]
         k_sent, b_sent = said_k[0], said[0]
-        trust_before = columns[receivers, 0]
+        in_sender, in_receivers = trust  # as they stood before the session
         guess = belief[1:] @ world.ontology.m[:, index] / world.n_assertions
-        mix = trust_before * b_sent + (1.0 - trust_before) * guess
+        mix = in_sender * b_sent + (1.0 - in_sender) * guess
         dk = world.willingness[receivers] * k_sent
         learned_k = clamped_array(combined_knowledge(said_k[1:], dk), 0.0, 1.0)
         cell_knowledge[sends, 1:, index] = learned_k
@@ -179,41 +200,45 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
             learned = learned_rows[:, index]
 
         # Receiver-side trust reacts to the agreement that held before the
-        # transfer; the sender's popularity grows with what receivers learned.
-        xi = params.trust_history_weight
-        columns[receivers, 0] = trust_update(trust_before, b_sent, said[1:], xi)
+        # transfer; the sender's trust in each receiver compares the same two
+        # beliefs, and moves only where that receiver comments.
+        trust = trust_update(trust, b_sent, said[1:], params.trust_history_weight)
+        columns[receivers, 0], columns[sender, 1:] = trust
+        # The sender's popularity grows with what receivers learned.
         gained = np.abs(learned_k * learned - said_k[1:] * said[1:]).sum() / (size - 1)
         delta_p = min(1.0, max(0.0, float(gained)))
         cell_popularity[sends, 0] = popularity[0] + delta_p - popularity[0] * delta_p
 
-        # Comments in friend-list order, each applied at once to every cell
-        # in which the responder comments. A "transferred" comment carries
-        # zero knowledge, so only the sender's trust in the responder moves.
+        # Comments in friend-list order, each learned in every row and kept
+        # where the responder comments. A "transferred" comment carries zero
+        # knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
-            for i in range(1, size):
-                on = acts[:, i]
-                if not on.any():
-                    continue
-                b_sender = cell_belief[on, 0]
-                a_old = k_sent * b_sender[:, index]
-                db = world.ontology.m[index] * (columns[sender, i] * said[i])
-                b_sender = clamped_array(combined_belief(b_sender, db, said_k[i]), -1.0, 1.0)
-                cell_belief[on, 0] = b_sender
-                # The comment changed one actor, so it credits popularity on the
-                # scale one trust entry has in reputation: 1/(n-1) per actor.
-                a_new = k_sent * b_sender[:, index]
-                delta_p = np.minimum(1.0, np.abs(a_new - a_old)) / (n - 1)
-                p = cell_popularity[on, i]
-                cell_popularity[on, i] = p + delta_p - p * delta_p
-        columns[sender, 1:] = trust_update(columns[sender, 1:], b_sent, said[1:], xi)
+            # Each receiver's perceived belief and comment flags, one row per
+            # cell as the sender's belief has them, so nothing broadcasts below.
+            perceived = world.ontology.m[index] * (in_receivers * said[1:])[:, None]
+            perceived = perceived[:, None].repeat(len(acts), axis=1)  # (N, C+1, A)
+            comments = acts.T[1:, :, None].repeat(world.n_assertions, axis=2)  # (N, C+1, A)
+            chain = [cell_belief[:, 0].copy()]  # the sender's belief after the send, then after each comment
+            for on, b_added, weight in zip(comments, perceived, said_k[1:].tolist()):
+                swayed = clamped_array(combined_belief(chain[-1], b_added, weight), -1.0, 1.0)
+                chain.append(np.where(on, swayed, chain[-1]))
+            cell_belief[:, 0] = chain[-1]
+            values = k_sent * np.array(chain)[:, :, index]  # (N+1, C+1)
+            # A comment changed one actor, so it credits popularity on the scale
+            # one trust entry has in reputation: 1/(n-1) per actor. A silent
+            # receiver's change is exactly 0, which leaves its popularity alone.
+            credit = (np.minimum(1.0, np.abs(values[1:] - values[:-1])) / (n - 1)).T
+            p = cell_popularity[:, 1:]
+            cell_popularity[:, 1:] = p + credit - p * credit
 
-    # Idle decay for every participant who neither sent nor commented.
-    keep = 1.0 - params.popularity_decay
-    cell_popularity = np.where(acts, cell_popularity, cell_popularity * keep)
+    # Idle decay for every participant who neither sent nor commented; the
+    # star before the session keeps its popularity.
+    cell_popularity = np.where(acts, cell_popularity, cell_popularity * (1.0 - params.popularity_decay))
+    cell_popularity[-1] = popularity
     reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
-    deltas = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity) - u_before
+    u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
     return StarCells(
-        session, deltas, cell_knowledge, cell_belief, cell_popularity, columns[receivers, 0], columns[sender, 1:]
+        session, u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1], trust[0], trust[1]
     )
 
 
@@ -267,16 +292,16 @@ def execute_session(
         world.belief *= root
     if params.popularity_decay != 0.0:
         world.popularity *= 1.0 - params.popularity_decay
-    participants = [sender, *receivers]
+    participants = np.array([sender, *receivers])
     world.knowledge[participants] = star.knowledge[row]
     world.belief[participants] = star.belief[row]
     world.popularity[participants] = star.popularity[row]
     if send:  # the trust vectors hold a send's update even when a hold was chosen
-        world.trust[receivers, sender] = star.trust_in_sender
+        world.trust[participants[1:], sender] = star.trust_in_sender
         world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]
     return SessionOutcome(
         sent=send,
         assertion_index=index,
         responders=tuple(responders),
-        utility_deltas={p: float(d) for p, d in zip(participants, star.deltas[row])},
+        utility_deltas=dict(zip((sender, *receivers), star.deltas[row].tolist())),
     )
