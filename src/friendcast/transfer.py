@@ -33,14 +33,12 @@ given along one cell axis (cell 0 is the all-hold): it reads and writes
 only the participants' k and b rows and popularity, and the trust columns
 that give their reputations. A step plays its star once: the payoff tensor
 plays every feasible cell, and `execute_session` commits the selected row.
-Along the cell axis the star's arrays carry one extra row, the star before
-the session, so that one utility pass gives every cell's deltas. Both trust
-updates compare the same post-forget beliefs, so they are one call on the
-stacked pair of trust vectors. Under "source" weighting the comments are
-one chain over the whole cell axis: each receiver in turn sways the
-sender's belief in every row, and the result is kept only in the rows
-where that receiver comments. The sender's value after each comment then
-credits every responder's popularity in one pass.
+An extra row after the cells, the star before the session, gives every
+cell's deltas in one utility pass; both trust updates are one call on the
+stacked pair of trust vectors. "Source" comments are one chain over the
+whole cell axis: each receiver in turn sways the sender's belief in every
+row, kept only where it comments, and the sender's value after each
+comment credits every responder's popularity in one pass.
 """
 
 from __future__ import annotations
@@ -107,10 +105,7 @@ def trust_update(t_old, b_sender, b_receiver, history_weight: float):
 
 @functools.lru_cache(maxsize=None)
 def _acts(n_receivers: int) -> np.ndarray:
-    """(2^(N+1) + 1, N+1) flags: who sends or comments in each cell (see `game`); read-only.
-
-    The extra last row, in which nobody acts, is the star before the session.
-    """
+    """(2^(N+1) + 1, N+1) flags: who sends or comments in each cell (see `game`), then nobody; read-only."""
     acts = np.zeros(((2 << n_receivers) + 1, n_receivers + 1), dtype=bool)
     acts[:-1] = np.arange(2 << n_receivers)[:, None] >> np.arange(n_receivers, -1, -1) & 1
     acts.setflags(write=False)
@@ -145,12 +140,9 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
     element, the arithmetic of that session on the whole world, so its bits
     do not depend on the other cells. When no cell sends, `index` may be None.
 
-    The state arrays hold a row per cell and then the star before the
-    session, in which nobody acts, forgets or decays; the deltas are each
-    cell's utility less that row's. Both trust updates are one call on the
-    pair of trust vectors. A "source" comment chain runs on every row and is
-    kept where the receiver comments, so a silent receiver's value change is
-    exactly 0 and the popularity credit leaves its bits alone.
+    The arrays end with the star before the session, in which nobody acts,
+    forgets or decays: a cell's deltas are its utility less that row's. The
+    comment chain and the single trust update run on every row.
     """
     session = (sender, tuple(receivers), index, params)
     ids = np.array([sender, *receivers])
@@ -199,12 +191,11 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
             cell_belief[sends, 1:] = learned_rows
             learned = learned_rows[:, index]
 
-        # Receiver-side trust reacts to the agreement that held before the
-        # transfer; the sender's trust in each receiver compares the same two
-        # beliefs, and moves only where that receiver comments.
+        # Both trust updates react to the agreement that held before the transfer
+        # (the sender's counts only where the receiver comments); the sender's
+        # popularity grows with what receivers learned.
         trust = trust_update(trust, b_sent, said[1:], params.trust_history_weight)
         columns[receivers, 0], columns[sender, 1:] = trust
-        # The sender's popularity grows with what receivers learned.
         gained = np.abs(learned_k * learned - said_k[1:] * said[1:]).sum() / (size - 1)
         delta_p = min(1.0, max(0.0, float(gained)))
         cell_popularity[sends, 0] = popularity[0] + delta_p - popularity[0] * delta_p
@@ -213,8 +204,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
         # where the responder comments. A "transferred" comment carries zero
         # knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
-            # Each receiver's perceived belief and comment flags, one row per
-            # cell as the sender's belief has them, so nothing broadcasts below.
+            # Each receiver's perceived belief and comment flags, row by row, so nothing broadcasts.
             perceived = world.ontology.m[index] * (in_receivers * said[1:])[:, None]
             perceived = perceived[:, None].repeat(len(acts), axis=1)  # (N, C+1, A)
             comments = acts.T[1:, :, None].repeat(world.n_assertions, axis=2)  # (N, C+1, A)
@@ -231,10 +221,9 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
             p = cell_popularity[:, 1:]
             cell_popularity[:, 1:] = p + credit - p * credit
 
-    # Idle decay for every participant who neither sent nor commented; the
-    # star before the session keeps its popularity.
+    # Idle decay for every participant who neither sent nor commented.
     cell_popularity = np.where(acts, cell_popularity, cell_popularity * (1.0 - params.popularity_decay))
-    cell_popularity[-1] = popularity
+    cell_popularity[-1] = popularity  # the star before the session does not decay
     reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
     u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
     return StarCells(
