@@ -204,16 +204,15 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
         # where the responder comments. A "transferred" comment carries zero
         # knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
-            # Each receiver's perceived belief and comment flags, row by row, so nothing broadcasts.
+            # The sender's belief with the cell axis last: each receiver's
+            # perceived belief and comment flags broadcast along it.
             perceived = world.ontology.m[index] * (in_receivers * said[1:])[:, None]
-            perceived = perceived[:, None].repeat(len(acts), axis=1)  # (N, C+1, A)
-            comments = acts.T[1:, :, None].repeat(world.n_assertions, axis=2)  # (N, C+1, A)
-            chain = [cell_belief[:, 0].copy()]  # the sender's belief after the send, then after each comment
-            for on, b_added, weight in zip(comments, perceived, said_k[1:].tolist()):
+            chain = [cell_belief[:, 0].T.copy()]  # (A, C+1): after the send, then after each comment
+            for on, b_added, weight in zip(acts.T[1:], perceived[:, :, None], said_k[1:].tolist()):
                 swayed = clamped_array(combined_belief(chain[-1], b_added, weight), -1.0, 1.0)
                 chain.append(np.where(on, swayed, chain[-1]))
-            cell_belief[:, 0] = chain[-1]
-            values = k_sent * np.array(chain)[:, :, index]  # (N+1, C+1)
+            cell_belief[:, 0] = chain[-1].T
+            values = k_sent * np.array([b[index] for b in chain])  # (N+1, C+1)
             # A comment changed one actor, so it credits popularity on the scale
             # one trust entry has in reputation: 1/(n-1) per actor. A silent
             # receiver's change is exactly 0, which leaves its popularity alone.
