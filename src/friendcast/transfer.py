@@ -105,7 +105,7 @@ def trust_update(t_old, b_sender, b_receiver, history_weight: float):
 
 @functools.lru_cache(maxsize=None)
 def _acts(n_receivers: int) -> np.ndarray:
-    """(2^(N+1) + 1, N+1) flags: who sends or comments in each cell (see `game`), then nobody; read-only."""
+    """(2^(N+1) + 1, N+1) flags: who sends or comments in each cell (see `game`), then a row of none; read-only."""
     acts = np.zeros(((2 << n_receivers) + 1, n_receivers + 1), dtype=bool)
     acts[:-1] = np.arange(2 << n_receivers)[:, None] >> np.arange(n_receivers, -1, -1) & 1
     acts.setflags(write=False)
