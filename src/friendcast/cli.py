@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -134,8 +135,6 @@ def resolve_config(args) -> tuple[str, ScenarioConfig]:
     base: dict = {}
     label = "custom"
     if args.scenario:
-        if args.scenario not in BUILTIN_SCENARIOS:
-            raise ConfigError(f"unknown scenario {args.scenario!r}")
         base.update(scenario_config(args.scenario).to_dict())
         label = args.scenario
     if args.config:
@@ -195,18 +194,14 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
+_NUMERIC = {f.name: f.type for f in dataclasses.fields(ScenarioConfig) if f.type in (int, float)}
 # rng_seed is not sweepable: --seeds sets it for every run.
-_SWEEPABLE = {
-    name: f.type
-    for name, f in ScenarioConfig.__dataclass_fields__.items()
-    if name not in ("knowledge_tiers", "ontology", "ontology_belief_weight", "rng_seed")
-}
+_SWEEPABLE = _NUMERIC.keys() - {"rng_seed"}
 
 
 def _parse_scalar(key: str, text: str):
-    integers = ("n_actors", "n_assertions", "n_receivers", "n_steps", "snapshot_every", "rng_seed")
     try:
-        return int(text) if key in integers else float(text)
+        return _NUMERIC[key](text)
     except ValueError:
         raise ConfigError(f"bad {key} value {text!r}")
 

@@ -1,9 +1,7 @@
 """Population setup, the random-session loop, and snapshot metrics."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -20,9 +18,12 @@ class ConfigError(ValueError):
     """A scenario configuration failed validation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything that pins down one simulation run."""
+    """Everything that pins down one simulation run, checked once when built.
+
+    An `int` field must be an integer, a `float` field a rate in [0, 1]; a bool is neither.
+    """
 
     n_actors: int = 100
     n_assertions: int = 10
@@ -42,7 +43,23 @@ class ScenarioConfig:
     ontology_belief_weight: str = "transferred"
     rng_seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+        # Not a field, so it stays out of to_dict, equality and repr.
+        object.__setattr__(self, "_transfer_params", TransferParams(
+            remembrance=self.remembrance,
+            trust_history_weight=self.trust_history_weight,
+            popularity_decay=self.popularity_decay,
+            belief_weight_mode=self.ontology_belief_weight,
+        ))
+
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is int and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ConfigError(f"{f.name}={v!r} is not an integer")
+            if f.type is float and (isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0):
+                raise ConfigError(f"{f.name}={v!r} is not a rate in [0, 1]")
         if self.n_actors < 2:
             raise ConfigError("need at least two actors")
         if self.n_assertions < 1:
@@ -51,19 +68,8 @@ class ScenarioConfig:
             raise ConfigError("n_receivers must be >= 1 and below n_actors")
         if self.n_steps < 0 or self.snapshot_every < 1:
             raise ConfigError("n_steps must be >= 0 and snapshot_every >= 1")
-        for name in (
-            "knowledge_weight",
-            "reputation_weight",
-            "popularity_weight",
-            "remembrance",
-            "trust_history_weight",
-            "popularity_decay",
-            "willingness",
-            "trust_init",
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name}={v!r} outside [0, 1]")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed={self.rng_seed} must be >= 0")
         weight_sum = self.knowledge_weight + self.reputation_weight + self.popularity_weight
         if abs(weight_sum - 1.0) > 1e-9:
             raise ConfigError(f"personality weights sum to {weight_sum!r}, expected 1")
@@ -89,12 +95,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown ontology preset {self.ontology!r}")
 
     def transfer_params(self) -> TransferParams:
-        return TransferParams(
-            remembrance=self.remembrance,
-            trust_history_weight=self.trust_history_weight,
-            popularity_decay=self.popularity_decay,
-            belief_weight_mode=self.ontology_belief_weight,
-        )
+        """The session rates, built once per config."""
+        return self._transfer_params
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,9 +107,7 @@ class ScenarioConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
 
 
 @dataclass
@@ -162,7 +162,6 @@ def init_population(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
     actor's average knowledge equals the target exactly. Trust starts flat
     at trust_init off the diagonal; popularity starts at zero.
     """
-    cfg.validate()
     n, a = cfg.n_actors, cfg.n_assertions
     counts = _tier_counts([t[0] for t in cfg.knowledge_tiers], n)
     knowledge = np.empty((n, a))
@@ -240,7 +239,6 @@ class RunResult:
 
 def simulate(cfg: ScenarioConfig) -> RunResult:
     """Run a full scenario and return snapshots plus action counters."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
     snapshots = [take_snapshot(world, 0)]

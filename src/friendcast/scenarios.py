@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .harness import ScenarioConfig
+from .harness import ConfigError, ScenarioConfig
 
 # Two homogeneous populations of 100 actors trading 10 facts, one receiver
 # per session: reputation-driven "experts" and popularity-driven "trolls".
@@ -35,7 +35,5 @@ def scenario_config(name: str, **overrides) -> ScenarioConfig:
     """Build a named built-in scenario, optionally overriding fields."""
     if name not in BUILTIN_SCENARIOS:
         known = ", ".join(sorted(BUILTIN_SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r} (known: {known})")
-    cfg = ScenarioConfig(**{**BUILTIN_SCENARIOS[name], **overrides})
-    cfg.validate()
-    return cfg
+        raise ConfigError(f"unknown scenario {name!r} (known: {known})")
+    return ScenarioConfig(**{**BUILTIN_SCENARIOS[name], **overrides})

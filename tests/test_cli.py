@@ -51,6 +51,35 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("overrides, args, field", [
+    ({"n_actors": 100.0}, [], "n_actors"),
+    ({"n_steps": 10.5}, [], "n_steps"),
+    ({"snapshot_every": 2.5}, [], "snapshot_every"),
+    ({"n_receivers": True}, [], "n_receivers"),
+    ({"rng_seed": 1.5}, [], "rng_seed"),
+    (None, ["--scenario", "experts", "--seed", "-1"], "rng_seed"),
+], ids=["float-n_actors", "float-n_steps", "float-snapshot_every", "bool-n_receivers",
+        "float-rng_seed", "negative-seed"])
+def test_run_malformed_count_exits_one_cleanly(tmp_path, capsys, overrides, args, field):
+    if overrides is not None:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(overrides))
+        args = ["--config", str(config)]
+    out = tmp_path / "x"
+    code = main(["run", *args, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_unknown_scenario_lists_the_known_ones(tmp_path, capsys):
+    code = main(["run", "--scenario", "nope", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown scenario 'nope' (known: experts, trolls)\n"
+
+
 def test_run_manifest_with_a_non_object_config_exits_one(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"config": 5, "tool_version": "0.1.0"}))

@@ -1,5 +1,7 @@
 """Population initialization, the session loop, snapshots, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,32 @@ def test_config_round_trips_through_dict():
     cfg = tiny_config()
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_config_is_frozen_and_checked_on_replace():
+    cfg = tiny_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_actors = 9
+    with pytest.raises(ConfigError, match="two actors"):
+        dataclasses.replace(cfg, n_actors=1)
+
+
+def test_config_builds_its_transfer_params_once():
+    cfg = tiny_config(remembrance=0.9, popularity_decay=0.02, ontology_belief_weight="source")
+    params = cfg.transfer_params()
+    assert cfg.transfer_params() is params
+    assert params == transfer.TransferParams(
+        remembrance=0.9,
+        trust_history_weight=cfg.trust_history_weight,
+        popularity_decay=0.02,
+        belief_weight_mode="source",
+    )
+
+
+def test_config_dict_holds_exactly_the_fields():
+    cfg = tiny_config()
+    assert list(cfg.to_dict()) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert "TransferParams" not in repr(cfg)
 
 
 def test_tier_counts_largest_remainder():
@@ -248,8 +276,8 @@ def test_explicit_ontology_is_used():
     cfg.validate()
     world = init_population(cfg, np.random.default_rng(0))
     assert np.array_equal(world.ontology.m, np.array(m))
-    mismatched = tiny_config(ontology=[[1.0, 0.0], [0.0, 1.0]])  # 2x2 for 3 assertions
     with pytest.raises(ConfigError):
+        mismatched = tiny_config(ontology=[[1.0, 0.0], [0.0, 1.0]])  # 2x2 for 3 assertions
         init_population(mismatched, np.random.default_rng(0))
 
 
