@@ -80,7 +80,7 @@ class ScenarioConfig:
             if len(tier) != 2:
                 raise ConfigError("each knowledge tier is a [fraction, target] pair")
             frac, target = tier
-            if frac < 0 or not 0.0 <= target <= 1.0:
+            if not (frac >= 0 and 0.0 <= target <= 1.0):  # NaN fails too
                 raise ConfigError(f"bad knowledge tier {tier!r}")
             fractions += frac
         if abs(fractions - 1.0) > 1e-9:

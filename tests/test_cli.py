@@ -58,9 +58,10 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     ({"n_receivers": True}, [], "n_receivers"),
     ({"rng_seed": 1.5}, [], "rng_seed"),
     (None, ["--scenario", "experts", "--seed", "-1"], "rng_seed"),
+    ({"knowledge_tiers": [[float("nan"), 0.5]]}, [], "knowledge tier"),
 ], ids=["float-n_actors", "float-n_steps", "float-snapshot_every", "bool-n_receivers",
-        "float-rng_seed", "negative-seed"])
-def test_run_malformed_count_exits_one_cleanly(tmp_path, capsys, overrides, args, field):
+        "float-rng_seed", "negative-seed", "nan-tier-fraction"])
+def test_run_malformed_value_exits_one_cleanly(tmp_path, capsys, overrides, args, field):
     if overrides is not None:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(overrides))
