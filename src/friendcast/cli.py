@@ -14,7 +14,6 @@ into place once complete, so an interrupted run leaves no partial file.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -225,6 +224,8 @@ def cmd_sweep(args) -> int:
             tasks.append((f"{scenario}[{args.vary}={value}]", cfg, run_dir, args.per_actor))
 
     if args.jobs > 1:
+        import concurrent.futures  # imports logging, which a plain run does not need
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_attempt, tasks))
     else:

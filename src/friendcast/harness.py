@@ -1,7 +1,7 @@
 """Population setup, the random-session loop, and snapshot metrics."""
 
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -16,6 +16,11 @@ _BIN_EDGES = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
 
 class ConfigError(ValueError):
     """A scenario configuration failed validation."""
+
+
+def _is_rate(v) -> bool:
+    """A number in [0, 1]; a bool is not one, and NaN fails the range."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and 0.0 <= v <= 1.0
 
 
 @dataclass(frozen=True)
@@ -33,18 +38,22 @@ class ScenarioConfig:
     knowledge_weight: float = 0.2
     reputation_weight: float = 0.7
     popularity_weight: float = 0.1
-    knowledge_tiers: list = field(default_factory=lambda: [[1 / 3, 0.9], [1 / 3, 0.1], [1 / 3, 0.5]])
+    knowledge_tiers: tuple = ((1 / 3, 0.9), (1 / 3, 0.1), (1 / 3, 0.5))  # (fraction, target) pairs
     remembrance: float = 1.0
     trust_history_weight: float = 0.5
     popularity_decay: float = 0.01
     willingness: float = 1.0
     trust_init: float = 0.5
-    ontology: object = "identity"  # "identity" or an explicit matrix (list of lists)
+    ontology: object = "identity"  # "identity" or an explicit matrix (a tuple of row tuples)
     ontology_belief_weight: str = "transferred"
     rng_seed: int = 0
 
     def __post_init__(self):
         self.validate()
+        # Nested lists become tuples, so a checked config cannot change afterwards.
+        object.__setattr__(self, "knowledge_tiers", tuple(map(tuple, self.knowledge_tiers)))
+        if not isinstance(self.ontology, str):
+            object.__setattr__(self, "ontology", tuple(map(tuple, self.ontology)))
         # Not a field, so it stays out of to_dict, equality and repr.
         object.__setattr__(self, "_transfer_params", TransferParams(
             remembrance=self.remembrance,
@@ -58,7 +67,7 @@ class ScenarioConfig:
             v = getattr(self, f.name)
             if f.type is int and (isinstance(v, bool) or not isinstance(v, int)):
                 raise ConfigError(f"{f.name}={v!r} is not an integer")
-            if f.type is float and (isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0):
+            if f.type is float and not _is_rate(v):
                 raise ConfigError(f"{f.name}={v!r} is not a rate in [0, 1]")
         if self.n_actors < 2:
             raise ConfigError("need at least two actors")
@@ -80,7 +89,7 @@ class ScenarioConfig:
             if len(tier) != 2:
                 raise ConfigError("each knowledge tier is a [fraction, target] pair")
             frac, target = tier
-            if not (frac >= 0 and 0.0 <= target <= 1.0):  # NaN fails too
+            if not (_is_rate(frac) and _is_rate(target)):
                 raise ConfigError(f"bad knowledge tier {tier!r}")
             fractions += frac
         if abs(fractions - 1.0) > 1e-9:
@@ -134,7 +143,7 @@ def take_snapshot(world: World, step: int) -> Snapshot:
         actor_mean_value=values,
         actor_mean_abs_value=abs_values,
         actor_popularity=world.popularity.copy(),
-        actor_reputation=world.reputations(),
+        actor_reputation=world.reputation.copy(),
         histogram=counts,
         mean_value=float(values.mean()),
         mean_abs_value=float(abs_values.mean()),
@@ -170,7 +179,7 @@ def init_population(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
         knowledge[start : start + count] = target
         start += count
     belief = rng.integers(0, 2, size=(n, a)) * 2.0 - 1.0
-    trust = np.full((n, n), float(cfg.trust_init))
+    trust = np.full((n, n), float(cfg.trust_init), order="F")
     np.fill_diagonal(trust, 1.0)
     personality = np.tile(
         [cfg.knowledge_weight, cfg.reputation_weight, cfg.popularity_weight], (n, 1)

@@ -30,9 +30,10 @@ reputation scale against each other. The rules chosen here:
 
 `play_star` plays these rules on the star alone, for the cells it is
 given along one cell axis (cell 0 is the all-hold): it reads and writes
-only the participants' k and b rows and popularity, and the trust columns
-that give their reputations. A step plays its star once: the payoff tensor
-plays every feasible cell, and `execute_session` commits the selected row.
+only the participants' k and b rows, popularity and kept reputations, and
+the trust columns that give their reputations after the session. A step
+plays its star once: the payoff tensor plays every feasible cell, and
+`execute_session` commits the selected row.
 An extra row after the cells, the star before the session, gives every
 cell's deltas in one utility pass; both trust updates are one call on the
 stacked pair of trust vectors. "Source" comments are one chain over the
@@ -126,6 +127,7 @@ class StarCells:
     knowledge: np.ndarray  # (C, N+1, A)
     belief: np.ndarray  # (C, N+1, A)
     popularity: np.ndarray  # (C, N+1)
+    reputation: np.ndarray  # (C, N+1)
     trust_in_sender: np.ndarray  # (N,) receivers' trust in the sender after a send
     trust_in_receivers: np.ndarray  # (N,) sender's trust in each after its comment
 
@@ -159,7 +161,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
     # A column-contiguous copy, summed column by column as World.reputations sums it.
     columns = world.trust[:, ids]
     self_trust = world.trust[ids, ids]
-    reputation = reputation_of(columns, self_trust)
+    reputation = world.reputation[ids]
     # The receivers' trust in the sender, then the sender's in each receiver.
     trust = np.array((columns[receivers, 0], columns[sender, 1:]))
 
@@ -226,7 +228,8 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
     reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
     u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
     return StarCells(
-        session, u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1], trust[0], trust[1]
+        session, u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1], reputation[:-1],
+        trust[0], trust[1],
     )
 
 
@@ -256,8 +259,9 @@ def execute_session(
     sender's value change over n - 1. PAPER.md does not settle these rules;
     the module docstring gives the grounding.
 
-    A profile selected from a tensor brings the star row it commits; any
-    other profile is played here. Everyone else forgets and decays.
+    A profile selected from a tensor brings the star row it commits, the
+    participants' reputations with it; any other profile is played here.
+    Everyone else forgets and decays.
     """
     receivers = list(receivers)
     if not receivers or sender in receivers or len(set(receivers)) != len(receivers):
@@ -284,6 +288,7 @@ def execute_session(
     world.knowledge[participants] = star.knowledge[row]
     world.belief[participants] = star.belief[row]
     world.popularity[participants] = star.popularity[row]
+    world.reputation[participants] = star.reputation[row]
     if send:  # the trust vectors hold a send's update even when a hold was chosen
         world.trust[participants[1:], sender] = star.trust_in_sender
         world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]

@@ -7,7 +7,7 @@ per-actor Python objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,11 @@ class World:
     personality: np.ndarray  # (n, 3) columns: knowledge/reputation/popularity
     willingness: np.ndarray  # (n,) in [0, 1]
     ontology: Ontology
+    reputation: np.ndarray = field(init=False)  # (n,) reputations(), kept current by each session
 
     def __post_init__(self):
         self.trust = np.asfortranarray(self.trust)
+        self.reputation = self.reputations()
 
     @property
     def n_actors(self) -> int:
@@ -100,4 +102,6 @@ class World:
             raise ValueError("trust outside [0, 1]")
         if not np.array_equal(np.diag(self.trust), np.ones(self.n_actors)):
             raise ValueError("self-trust diagonal must be 1")
+        if not np.array_equal(self.reputation, self.reputations()):
+            raise ValueError("kept reputations differ from the trust matrix")
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, file schemas, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +63,9 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     ({"rng_seed": 1.5}, [], "rng_seed"),
     (None, ["--scenario", "experts", "--seed", "-1"], "rng_seed"),
     ({"knowledge_tiers": [[float("nan"), 0.5]]}, [], "knowledge tier"),
+    ({"knowledge_tiers": [[True, 0.5]]}, [], "knowledge tier"),
 ], ids=["float-n_actors", "float-n_steps", "float-snapshot_every", "bool-n_receivers",
-        "float-rng_seed", "negative-seed", "nan-tier-fraction"])
+        "float-rng_seed", "negative-seed", "nan-tier-fraction", "bool-tier-fraction"])
 def test_run_malformed_value_exits_one_cleanly(tmp_path, capsys, overrides, args, field):
     if overrides is not None:
         config = tmp_path / "cfg.json"
@@ -73,6 +78,15 @@ def test_run_malformed_value_exits_one_cleanly(tmp_path, capsys, overrides, args
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    # Only a parallel sweep needs it, and it imports logging on the way.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, friendcast.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "False\n"
 
 
 def test_run_unknown_scenario_lists_the_known_ones(tmp_path, capsys):

@@ -63,6 +63,24 @@ def test_config_is_frozen_and_checked_on_replace():
         dataclasses.replace(cfg, n_actors=1)
 
 
+@pytest.mark.parametrize("tier", [[True, 0.5], [1.0, False]])
+def test_config_rejects_a_boolean_tier_fraction_or_target(tier):
+    with pytest.raises(ConfigError, match="knowledge tier"):
+        tiny_config(knowledge_tiers=[tier])
+
+
+def test_config_nesting_is_frozen_too():
+    m = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    cfg = tiny_config(knowledge_tiers=[[0.5, 0.9], [0.5, 0.1]], ontology=m)
+    assert cfg.knowledge_tiers == ((0.5, 0.9), (0.5, 0.1))
+    assert cfg.ontology == tuple(map(tuple, m))
+    with pytest.raises(TypeError):
+        cfg.knowledge_tiers[0][0] = 5.0
+    with pytest.raises(TypeError):
+        cfg.ontology[0][0] = 5.0
+    assert hash(cfg) == hash(ScenarioConfig.from_dict(cfg.to_dict()))
+
+
 def test_config_builds_its_transfer_params_once():
     cfg = tiny_config(remembrance=0.9, popularity_decay=0.02, ontology_belief_weight="source")
     params = cfg.transfer_params()
@@ -267,6 +285,19 @@ def test_a_run_whose_state_is_corrupted_mid_run_fails(monkeypatch):
     simulate(tiny_config())
     monkeypatch.setattr(harness, "step", corrupting_step)
     with pytest.raises(ValueError, match="diagonal"):
+        simulate(tiny_config())
+
+
+def test_a_run_whose_trust_is_written_around_the_sessions_fails(monkeypatch):
+    # An in-range off-diagonal write passes every range guard; only the
+    # kept reputations, which it leaves stale, show it.
+    def corrupting_step(world, cfg, rng):
+        outcome = step(world, cfg, rng)
+        world.trust[2, 5] = 0.25
+        return outcome
+
+    monkeypatch.setattr(harness, "step", corrupting_step)
+    with pytest.raises(ValueError, match="kept reputations"):
         simulate(tiny_config())
 
 

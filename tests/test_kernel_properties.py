@@ -10,7 +10,7 @@ leave the world alone, and a session must write trust only in the star's
 columns. Each cell the kernel plays must come out bit for bit the same
 whether it is played alone or along the cell axis with the others, and
 committing a tensor's row must do to the world exactly what playing that
-session does.
+session does, leaving the kept reputations equal to the trust matrix's.
 
 Three metamorphic relations need no oracle: relabelling the actors or
 the assertions leaves the tensor unchanged, and under "transferred"
@@ -133,7 +133,7 @@ def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance)
     star = play_star(world, sender, receivers, index, params, feasible)
     for row, cell in enumerate(feasible):
         alone = play_star(world, sender, receivers, index, params, [cell])
-        for key in ("deltas", "knowledge", "belief", "popularity"):
+        for key in ("deltas", "knowledge", "belief", "popularity", "reputation"):
             assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
         if cell:  # a send moves the trust vectors alike in every sending cell
             for key in ("trust_in_sender", "trust_in_receivers"):
@@ -146,7 +146,7 @@ def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance)
     assert same_bits(payoffs[1 << len(receivers) :], star.deltas[1:])
 
 
-WORLD_KEYS = ("knowledge", "belief", "popularity", "trust")
+WORLD_KEYS = ("knowledge", "belief", "popularity", "trust", "reputation")
 
 
 @PROPERTY
@@ -178,6 +178,8 @@ def test_committing_a_tensor_row_equals_playing_its_session(game, mode, remembra
         assert outcome == expected
         for key in WORLD_KEYS:
             assert same_bits(getattr(committed, key), getattr(played, key))
+        # The kept reputations are the trust matrix's column means, bit for bit.
+        assert same_bits(committed.reputation, committed.reputations())
 
 
 def disagreeing_world():
