@@ -225,7 +225,6 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1:
         import concurrent.futures  # imports logging, which a plain run does not need
-
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_attempt, tasks))
     else:

@@ -227,10 +227,8 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
     cell_popularity[-1] = popularity  # the star before the session does not decay
     reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
     u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
-    return StarCells(
-        session, u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1], reputation[:-1],
-        trust[0], trust[1],
-    )
+    return StarCells(session, u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1],
+                     reputation[:-1], *trust)
 
 
 def execute_session(

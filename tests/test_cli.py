@@ -64,8 +64,9 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     (None, ["--scenario", "experts", "--seed", "-1"], "rng_seed"),
     ({"knowledge_tiers": [[float("nan"), 0.5]]}, [], "knowledge tier"),
     ({"knowledge_tiers": [[True, 0.5]]}, [], "knowledge tier"),
+    ({"knowledge_tiers": [[1.0, False]]}, [], "knowledge tier"),
 ], ids=["float-n_actors", "float-n_steps", "float-snapshot_every", "bool-n_receivers",
-        "float-rng_seed", "negative-seed", "nan-tier-fraction", "bool-tier-fraction"])
+        "float-rng_seed", "negative-seed", "nan-tier-fraction", "bool-tier-fraction", "bool-tier-target"])
 def test_run_malformed_value_exits_one_cleanly(tmp_path, capsys, overrides, args, field):
     if overrides is not None:
         config = tmp_path / "cfg.json"

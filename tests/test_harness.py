@@ -63,12 +63,6 @@ def test_config_is_frozen_and_checked_on_replace():
         dataclasses.replace(cfg, n_actors=1)
 
 
-@pytest.mark.parametrize("tier", [[True, 0.5], [1.0, False]])
-def test_config_rejects_a_boolean_tier_fraction_or_target(tier):
-    with pytest.raises(ConfigError, match="knowledge tier"):
-        tiny_config(knowledge_tiers=[tier])
-
-
 def test_config_nesting_is_frozen_too():
     m = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     cfg = tiny_config(knowledge_tiers=[[0.5, 0.9], [0.5, 0.1]], ontology=m)
