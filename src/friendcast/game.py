@@ -2,19 +2,19 @@
 
 The sender and the N receivers play a one-shot game: the sender picks
 publish-or-hold, each receiver picks comment-or-stay-silent. A profile is
-N+1 bits, and its cell index is the only encoding: the sender's bit is the
-most significant, then one bit per receiver in friend-list order, so cell
-order is the lexicographic order of (send, *feedback). Player p's
-unilateral deviation is `cell ^ (1 << (N - p))`.
+N+1 bits, and this module alone encodes it as a cell index: the sender's
+bit is the most significant, then one bit per receiver in friend-list
+order, so cell order is the lexicographic order of (send, *feedback).
+Player p's unilateral deviation is `cell ^ (1 << (N - p))`.
 
 Payoffs are the utility changes a hypothetical session would cause, one
 row per cell. The star-local session kernel (`transfer.play_star`) plays
-the feasible cells, 0 and 2^N ... 2^(N+1)-1, along one cell axis on a copy
-of the star's own state, and never copies the world. Commenting on an
-unpublished assertion is infeasible: every hold row (sender bit 0) repeats
-the all-hold row 0, so a deviation onto one needs no special case. The
-selected profile carries its row of the played star, which
-`transfer.execute_session` commits without playing the session again.
+the action flags of the feasible cells, 0 and 2^N ... 2^(N+1)-1, along one
+cell axis on a copy of the star's own state, and never copies the world.
+Commenting on an unpublished assertion is infeasible: every hold row
+(sender bit 0) repeats the all-hold row 0, so a deviation onto one needs
+no special case. The selected profile carries its row of the played star,
+which `transfer.execute_session` commits without playing the session again.
 """
 
 from __future__ import annotations
@@ -62,21 +62,23 @@ class StrategyProfile:
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The feasible cells, the flat payoff index of their deviations, and each cell's played row.
+def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The feasible cells, the flat payoff index of their deviations, each cell's played row, and the flags.
 
     Entry (row, p) of the second array indexes the flattened payoffs at
     cell `feasible[row] ^ (1 << (N - p))`, column p. The third maps every
     cell to its row among the feasible cells: each hold cell to row 0, the
-    all-hold.
+    all-hold. Row r of the fourth is cell `feasible[r]` as the
+    (send, *feedback) flags that `transfer.play_star` plays.
     """
     players = np.arange(n_receivers + 1)
     feasible = np.r_[0, (1 << n_receivers) : (2 << n_receivers)]
     deviations = (feasible[:, None] ^ (1 << (n_receivers - players))) * (n_receivers + 1) + players
     played = np.r_[np.zeros(1 << n_receivers, dtype=int), 1 : len(feasible)]
-    for shared in (feasible, deviations, played):  # cached for every caller: read-only
+    acts = (feasible[:, None] >> (n_receivers - players) & 1).astype(bool)
+    for shared in (feasible, deviations, played, acts):  # cached for every caller: read-only
         shared.setflags(write=False)
-    return feasible, deviations, played
+    return feasible, deviations, played, acts
 
 
 @dataclass(eq=False)
@@ -125,16 +127,14 @@ def build_payoff_tensor(
     cell's bits do not depend on the others, so a row is its session.
     """
     receivers = tuple(int(r) for r in receivers)
-    if sender in receivers:
-        raise ValueError("receivers must be distinct from the sender")
-    feasible, _, played = _layout(len(receivers))
-    star = play_star(world, sender, receivers, index, params, feasible)
+    _, _, played, acts = _layout(len(receivers))
+    star = play_star(world, sender, receivers, index, params, acts)
     return PayoffTensor(int(sender), receivers, star.deltas[played], star)
 
 
 def _gains(tensor: PayoffTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The feasible cells, what each player gains there by switching its own action, and the stable cells."""
-    feasible, deviations, _ = _layout(tensor.n_receivers)
+    feasible, deviations, _, _ = _layout(tensor.n_receivers)
     gains = tensor.payoffs.take(deviations) - tensor.payoffs[feasible]
     return feasible, gains, feasible[~(gains > 0.0).any(axis=1)]
 

@@ -135,19 +135,19 @@ class Snapshot:
 
 
 def take_snapshot(world: World, step: int) -> Snapshot:
-    values = world.mean_values()
-    abs_values = world.average_knowledge_per_actor()
-    counts, _ = np.histogram(values, bins=_BIN_EDGES)
+    values = world.values()
+    means, abs_means = values.mean(axis=1), np.abs(values).mean(axis=1)
+    counts, _ = np.histogram(means, bins=_BIN_EDGES)
     return Snapshot(
         step=step,
-        actor_mean_value=values,
-        actor_mean_abs_value=abs_values,
+        actor_mean_value=means,
+        actor_mean_abs_value=abs_means,
         actor_popularity=world.popularity.copy(),
         actor_reputation=world.reputation.copy(),
         histogram=counts,
-        mean_value=float(values.mean()),
-        mean_abs_value=float(abs_values.mean()),
-        std_value=float(values.std()),
+        mean_value=float(means.mean()),
+        mean_abs_value=float(abs_means.mean()),
+        std_value=float(means.std()),
     )
 
 

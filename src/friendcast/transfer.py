@@ -28,12 +28,14 @@ reputation scale against each other. The rules chosen here:
   for every personality, so reputation-driven actors commented on every
   disagreement exactly like popularity-driven ones.
 
-`play_star` plays these rules on the star alone, for the cells it is
-given along one cell axis (cell 0 is the all-hold): it reads and writes
-only the participants' k and b rows, popularity and kept reputations, and
-the trust columns that give their reputations after the session. A step
-plays its star once: the payoff tensor plays every feasible cell, and
-`execute_session` commits the selected row.
+`play_star` plays these rules on the star alone, one row of action flags
+per cell (who sends, who comments) along one cell axis; how a profile is
+numbered as a cell is `game`'s business. It reads and writes only the
+participants' k and b rows, popularity and kept reputations, and the
+trust columns that give their reputations after the session. It is also
+the one place that checks a star. A step plays its star once: the payoff
+tensor plays every feasible cell, and `execute_session` commits the
+selected row.
 An extra row after the cells, the star before the session, gives every
 cell's deltas in one utility pass; both trust updates are one call on the
 stacked pair of trust vectors. "Source" comments are one chain over the
@@ -44,7 +46,6 @@ comment credits every responder's popularity in one pass.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,10 +90,6 @@ class SessionOutcome:
     responders: tuple[int, ...] = ()
     utility_deltas: dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.sent and self.responders:
-            raise ValueError("feedback without a send is infeasible")
-
 
 def trust_update(t_old, b_sender, b_receiver, history_weight: float):
     """Move directed trust toward agreement between two beliefs, elementwise.
@@ -102,15 +99,6 @@ def trust_update(t_old, b_sender, b_receiver, history_weight: float):
     """
     delta = 1.0 - np.abs(b_sender - b_receiver)
     return np.minimum(np.maximum(history_weight * t_old + (1.0 - history_weight) * delta, 0.0), 1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _acts(n_receivers: int) -> np.ndarray:
-    """(2^(N+1) + 1, N+1) flags: who sends or comments in each cell (see `game`), then a row of none; read-only."""
-    acts = np.zeros(((2 << n_receivers) + 1, n_receivers + 1), dtype=bool)
-    acts[:-1] = np.arange(2 << n_receivers)[:, None] >> np.arange(n_receivers, -1, -1) & 1
-    acts.setflags(write=False)
-    return acts
 
 
 @dataclass
@@ -132,25 +120,32 @@ class StarCells:
     trust_in_receivers: np.ndarray  # (N,) sender's trust in each after its comment
 
 
-def play_star(world: World, sender, receivers, index, params: TransferParams, cells) -> StarCells:
-    """Play the session of each given cell on the star alone.
+def play_star(world: World, sender, receivers, index, params: TransferParams, acts) -> StarCells:
+    """Play the session of each given row of action flags on the star alone.
 
-    Cells use `game`'s encoding: the sender's bit most significant, then
-    one bit per receiver, the first receiver's the most significant. Cell
-    0 is the all-hold session, in which every participant is inactive,
-    forgets and decays. `world` is only read. Every cell is, element for
-    element, the arithmetic of that session on the whole world, so its bits
-    do not depend on the other cells. When no cell sends, `index` may be None.
+    `acts` is (C, N+1): whether the sender sends, then whether each
+    receiver comments, in friend-list order. A row of no flags is the
+    all-hold session, in which every participant is inactive, forgets and
+    decays. `world` is only read. Every cell is, element for element, the
+    arithmetic of that session on the whole world, so its bits do not
+    depend on the other cells.
+
+    The star needs at least one receiver, and no actor twice; every id
+    and, when a cell sends, `index` must exist in `world`. When no cell
+    sends, `index` may be None.
 
     The arrays end with the star before the session, in which nobody acts,
     forgets or decays: a cell's deltas are its utility less that row's. The
     comment chain and the single trust update run on every row.
     """
     session = (sender, tuple(receivers), index, params)
-    ids = np.array([sender, *receivers])
-    receivers = ids[1:]
+    ids = [sender, *receivers]
     size, n = len(ids), world.n_actors
-    acts = _acts(size - 1)[np.concatenate((cells, [-1]))]  # (C+1, N+1)
+    if size < 2 or len(set(ids)) < size or not 0 <= min(ids) <= max(ids) < n:
+        raise ValueError(f"a star needs a receiver, and distinct actor ids in [0, {n})")
+    ids = np.array(ids)
+    receivers = ids[1:]
+    acts = np.concatenate((np.asarray(acts, dtype=bool), np.zeros((1, size), dtype=bool)))  # then the star before
     sends = acts[:, 0]
     weights = world.personality[ids]
     knowledge, belief = world.knowledge[ids], world.belief[ids]
@@ -172,6 +167,8 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ce
         cell_knowledge[:-1] = knowledge
         cell_belief[:-1] = belief
     if sends.any():
+        if index is None or not 0 <= index < world.n_assertions:
+            raise ValueError(f"a send needs an assertion index in [0, {world.n_assertions})")
         # Post-forget tuples: a comment carries the responder's own, and both
         # trust updates compare these beliefs.
         said_k, said = knowledge[:, index], belief[:, index]
@@ -258,22 +255,19 @@ def execute_session(
     the module docstring gives the grounding.
 
     A profile selected from a tensor brings the star row it commits, the
-    participants' reputations with it; any other profile is played here.
-    Everyone else forgets and decays.
+    participants' reputations with it, and must name the session that row
+    was played for; any other profile is played here, and `play_star`
+    checks the star. Everyone else forgets and decays.
     """
     receivers = list(receivers)
-    if not receivers or sender in receivers or len(set(receivers)) != len(receivers):
-        raise ValueError("receivers must be nonempty and distinct from each other and the sender")
     if len(profile.feedback) != len(receivers):
         raise ValueError("profile length does not match the receiver list")
     send = bool(profile.send)
     responders = [r for r, f in zip(receivers, profile.feedback) if f]
     if not send and responders:
         raise ValueError("infeasible profile: feedback without a send")
-    if send and index is None:
-        raise ValueError("a send requires an assertion index")
 
-    star, row = profile.played or (play_star(world, sender, receivers, index, params, [profile.cell]), 0)
+    star, row = profile.played or (play_star(world, sender, receivers, index, params, [(send, *profile.feedback)]), 0)
     if star.session != (sender, tuple(receivers), index, params):
         raise ValueError("the profile's star was played for another session")
     if params.remembrance != 1.0:

@@ -69,26 +69,19 @@ class World:
         """(n, A) matrix of assertion values k*b."""
         return self.knowledge * self.belief
 
-    def mean_values(self) -> np.ndarray:
-        """Per-actor mean signed assertion value."""
-        return self.values().mean(axis=1)
-
     def average_knowledge_per_actor(self) -> np.ndarray:
         """Per-actor mean absolute assertion value."""
         return np.abs(self.values()).mean(axis=1)
 
-    def reputations(self, ids=None) -> np.ndarray:
-        """Mean trust of all other actors in each requested actor."""
-        if ids is None:
-            return reputation_of(self.trust, np.diagonal(self.trust))
-        ids = np.asarray(ids)
-        return reputation_of(self.trust[:, ids], self.trust[ids, ids])
+    def reputations(self) -> np.ndarray:
+        """Mean trust of all other actors in each actor, summed from the trust matrix."""
+        return reputation_of(self.trust, np.diagonal(self.trust))
 
     def utilities(self, ids) -> np.ndarray:
-        """Utility of each requested actor under its own personality."""
+        """Utility of each requested actor under its own personality, from the kept reputations."""
         ids = np.asarray(ids)
         return utility_of(self.personality[ids], self.knowledge[ids], self.belief[ids],
-                          self.reputations(ids), self.popularity[ids])
+                          self.reputation[ids], self.popularity[ids])
 
     def validate(self) -> None:
         """Raise if any population invariant is broken."""

@@ -54,25 +54,22 @@ def test_personality_validation():
 
 def test_reputation_examples():
     uniform = _world(_uniform_trust(4, 1.0))
-    assert uniform.reputations([2])[0] == 1.0
+    assert uniform.reputations()[2] == 1.0
 
     m = np.eye(4)
     m[0, 3], m[1, 3], m[2, 3] = 0.2, 0.4, 0.6
     m[3, 0] = m[3, 1] = m[3, 2] = 0.9  # rows of the rated actor are irrelevant
-    assert _world(m).reputations([3])[0] == pytest.approx(0.4, abs=EXACT)
+    assert _world(m).reputations()[3] == pytest.approx(0.4, abs=EXACT)
 
     lonely = _world(np.eye(3))
-    assert lonely.reputations([0])[0] == 0.0  # self-trust excluded
+    assert lonely.reputations()[0] == 0.0  # self-trust excluded
 
 
 def test_reputation_ignores_diagonal():
     m = np.full((5, 5), 0.3)
     np.fill_diagonal(m, 1.0)
-    base = _world(m).reputations([2])[0]
+    base = _world(m).reputations()[2]
     assert base == pytest.approx(0.3, abs=EXACT)
-    # the same reputation whether one actor or all are asked for
-    m2 = m.copy()
-    assert _world(m2).reputations()[2] == base
 
 
 def test_reputation_needs_two_actors():

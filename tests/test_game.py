@@ -8,6 +8,7 @@ import pytest
 from friendcast.game import (
     PayoffTensor,
     StrategyProfile,
+    _layout,
     build_payoff_tensor,
     find_pure_nash,
     select_profile,
@@ -191,6 +192,12 @@ def test_cell_encoding_round_trips_in_tuple_order():
         assert [p.cell for p in profiles] == list(range(2 << n_receivers))
         for profile in profiles:
             assert StrategyProfile.from_cell(profile.cell, n_receivers) == profile
+    # The flags the kernel plays are the feasible cells' (send, *feedback).
+    for n_receivers in range(1, 8):
+        feasible, _, _, acts = _layout(n_receivers)
+        for cell, flags in zip(feasible.tolist(), acts.tolist()):
+            profile = StrategyProfile.from_cell(cell, n_receivers)
+            assert tuple(flags) == (profile.send, *profile.feedback)
 
 
 def test_payoff_rejects_a_profile_of_another_size():
@@ -314,6 +321,28 @@ def test_tensor_construction_is_deterministic_and_leaves_world_alone():
     assert np.array_equal(world.trust, snapshot.trust)
     assert np.array_equal(world.popularity, snapshot.popularity)
     assert select_profile(t1) == select_profile(t2)
+
+
+@pytest.mark.parametrize("sender, receivers, index, problem", [
+    (0, [1, 1], 0, "a star needs"),  # one receiver twice
+    (0, [], 0, "a star needs"),
+    (-1, [3], 0, "a star needs"),  # would play actor 3 against itself
+    (4, [1], 0, "a star needs"),
+    (0, [1], None, "assertion index"),
+    (0, [1], -1, "assertion index"),  # would play the last assertion
+    (0, [1], 2, "assertion index"),
+])
+def test_an_invalid_star_is_rejected_before_it_is_played(sender, receivers, index, problem):
+    world = random_world(np.random.default_rng(26), 4, 2)
+    before = world.copy()
+    with pytest.raises(ValueError, match=problem):
+        build_payoff_tensor(world, sender, receivers, index, TransferParams())
+    # A hand-built profile meets the same check before the session touches the world.
+    profile = StrategyProfile(True, (True,) * len(receivers))
+    with pytest.raises(ValueError, match=problem):
+        execute_session(world, sender, receivers, index, profile, TransferParams())
+    for key in ("knowledge", "belief", "popularity", "trust", "reputation"):
+        assert np.array_equal(getattr(world, key), getattr(before, key))
 
 
 def test_hold_is_costly_when_popularity_decays():

@@ -129,10 +129,10 @@ def same_bits(a, b):
 def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance):
     world, sender, receivers, index, params = game
     params = dataclasses.replace(params, belief_weight_mode=mode, remembrance=remembrance)
-    feasible = _layout(len(receivers))[0]
-    star = play_star(world, sender, receivers, index, params, feasible)
+    feasible, _, _, acts = _layout(len(receivers))
+    star = play_star(world, sender, receivers, index, params, acts)
     for row, cell in enumerate(feasible):
-        alone = play_star(world, sender, receivers, index, params, [cell])
+        alone = play_star(world, sender, receivers, index, params, acts[row : row + 1])
         for key in ("deltas", "knowledge", "belief", "popularity", "reputation"):
             assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
         if cell:  # a send moves the trust vectors alike in every sending cell

@@ -11,7 +11,6 @@ from friendcast.harness import ConfigError, ScenarioConfig
 from friendcast.knowledge import Assertion, Ontology, learn
 from friendcast.transfer import (
     BELIEF_WEIGHT_MODES,
-    SessionOutcome,
     TransferParams,
     execute_session,
     trust_update,
@@ -321,8 +320,6 @@ def test_infeasible_profile_is_rejected():
             world, 0, [1, 2], 0, StrategyProfile(False, (True, False)),
             TransferParams(),
         )
-    with pytest.raises(ValueError):
-        SessionOutcome(sent=False, assertion_index=0, responders=(1,))
 
 
 def test_perceived_belief_magnitude_is_bounded(monkeypatch):
