@@ -19,8 +19,11 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .harness import ConfigError, HISTOGRAM_BINS, RunResult, ScenarioConfig, simulate
@@ -73,13 +76,19 @@ def write_snapshots(path: Path, result: RunResult) -> None:
 
 
 def write_actors(path: Path, result: RunResult) -> None:
-    _write_csv(path, ACTOR_HEADER, (
-        [snap.step, actor_id, float(value), float(knowledge), float(popularity), float(reputation)]
-        for snap in result.snapshots
-        for actor_id, (value, knowledge, popularity, reputation) in enumerate(zip(
-            snap.actor_mean_value, snap.actor_mean_abs_value, snap.actor_popularity, snap.actor_reputation
-        ))
-    ))
+    """Write the bytes `csv.writer` would, formatted directly: ints by `str`, floats by `repr`.
+
+    No field here ever needs quoting. Each snapshot's rows are joined into
+    one string, so memory grows with the population, not the run length.
+    """
+    with _replacing(path) as handle:
+        handle.write(",".join(ACTOR_HEADER) + "\n")
+        for snap in result.snapshots:
+            columns = zip(snap.actor_mean_value.tolist(), snap.actor_mean_abs_value.tolist(),
+                          snap.actor_popularity.tolist(), snap.actor_reputation.tolist())
+            handle.write("".join(
+                f"{snap.step},{actor_id},{v!r},{k!r},{p!r},{r!r}\n" for actor_id, (v, k, p, r) in enumerate(columns)
+            ))
 
 
 def summary_row(scenario: str, cfg: ScenarioConfig, result: RunResult) -> list:
@@ -102,6 +111,8 @@ def write_summary(path: Path, rows: list[list]) -> None:
 def write_manifest(path: Path, scenario: str, cfg: ScenarioConfig, outputs: list[str]) -> None:
     manifest = {
         "tool_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,  # the written floats depend on numpy's arithmetic
         "scenario": scenario,
         "seed": cfg.rng_seed,
         "outputs": outputs,
@@ -149,7 +160,8 @@ def resolve_config(args) -> tuple[str, ScenarioConfig]:
         raise ConfigError(str(err))
 
 
-def _run_one(task) -> list:
+def _run_one(task) -> tuple[list, list[str]]:
+    """Run one task and write its files: its summary row, and the names of the files written."""
     scenario, cfg, out_dir, per_actor = task
     result = simulate(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -161,21 +173,21 @@ def _run_one(task) -> list:
         write_actors(out_dir / "actors.csv", result)
         outputs.append("actors.csv")
     write_manifest(out_dir / "manifest.json", scenario, cfg, outputs)
-    return row
+    return row, outputs
 
 
 def _attempt(task) -> tuple[list | None, str | None]:
     """One sweep run: its summary row, or why it failed, so the other runs still go ahead."""
     try:
-        return _run_one(task), None
+        return _run_one(task)[0], None
     except Exception as err:
         return None, f"{type(err).__name__}: {err}"
 
 
 def cmd_run(args) -> int:
     scenario, cfg = resolve_config(args)
-    _run_one((scenario, cfg, Path(args.out), args.per_actor))
-    print(f"wrote {args.out}/snapshots.csv, summary.csv, manifest.json")
+    _, outputs = _run_one((scenario, cfg, Path(args.out), args.per_actor))
+    print(f"wrote {args.out}/{', '.join(outputs)}")
     return 0
 
 

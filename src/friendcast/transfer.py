@@ -111,6 +111,7 @@ class StarCells:
     """
 
     session: tuple  # (sender, receivers, index, params) the cells were played for
+    acts: np.ndarray  # (C, N+1) the action flags each row played
     deltas: np.ndarray  # (C, N+1) utility changes
     knowledge: np.ndarray  # (C, N+1, A)
     belief: np.ndarray  # (C, N+1, A)
@@ -224,7 +225,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
     cell_popularity[-1] = popularity  # the star before the session does not decay
     reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
     u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
-    return StarCells(session, u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1],
+    return StarCells(session, acts[:-1], u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1],
                      reputation[:-1], *trust)
 
 
@@ -255,9 +256,9 @@ def execute_session(
     the module docstring gives the grounding.
 
     A profile selected from a tensor brings the star row it commits, the
-    participants' reputations with it, and must name the session that row
-    was played for; any other profile is played here, and `play_star`
-    checks the star. Everyone else forgets and decays.
+    participants' reputations with it, and must name the session and the
+    action flags that row was played for; any other profile is played
+    here, and `play_star` checks the star. Everyone else forgets and decays.
     """
     receivers = list(receivers)
     if len(profile.feedback) != len(receivers):
@@ -268,8 +269,9 @@ def execute_session(
         raise ValueError("infeasible profile: feedback without a send")
 
     star, row = profile.played or (play_star(world, sender, receivers, index, params, [(send, *profile.feedback)]), 0)
-    if star.session != (sender, tuple(receivers), index, params):
-        raise ValueError("the profile's star was played for another session")
+    session = (sender, tuple(receivers), index, params)
+    if star.session != session or star.acts[row].tolist() != [send, *profile.feedback]:
+        raise ValueError("the profile's star row was played for another session or cell")
     if params.remembrance != 1.0:
         root = np.sqrt(params.remembrance)
         world.knowledge *= root

@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, file schemas, reproducibility."""
 
+import csv
+import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 
 from friendcast import cli
 from friendcast.cli import main
+from friendcast.harness import RunResult, Snapshot
 
 FAST = [
     "--steps", "200",
@@ -126,6 +130,9 @@ class FailingColumn:
             raise OSError(28, "No space left on device")
         return self.values[i]
 
+    def tolist(self):
+        return [self[i] for i in range(len(self))]
+
 
 def test_run_interrupted_while_writing_actors_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     simulate = cli.simulate
@@ -143,6 +150,41 @@ def test_run_interrupted_while_writing_actors_leaves_no_partial_file(tmp_path, m
     assert "No space left on device" in capsys.readouterr().err
     # Complete files only: no actors.csv, no temporary file, no manifest listing them.
     assert sorted(p.name for p in out.iterdir()) == ["snapshots.csv", "summary.csv"]
+
+
+def test_actor_table_bytes_are_what_csv_writer_writes(tmp_path):
+    # Signed zeros, the smallest subnormal, both sides of repr's switch to
+    # exponents, and values whose shortest repr needs 17 digits.
+    values = np.array([-0.0, 0.0, 5e-324, 1e-05, 0.0001, 1e16, 0.1 + 0.2, 0.5, 1.0])
+    snapshots = [
+        Snapshot(step, *(np.roll(values, shift + step) for shift in range(4)),
+                 histogram=np.zeros(cli.HISTOGRAM_BINS, dtype=int), mean_value=0.0, mean_abs_value=0.0, std_value=0.0)
+        for step in (0, 25)
+    ]
+    result = RunResult(snapshots, sends=0, feedback_slots=0, responses=0, n_steps=25)
+    cli.write_actors(tmp_path / "actors.csv", result)
+
+    expected = io.StringIO()
+    out = csv.writer(expected, lineterminator="\n")
+    out.writerow(cli.ACTOR_HEADER)
+    for snap in snapshots:
+        columns = (snap.actor_mean_value, snap.actor_mean_abs_value, snap.actor_popularity, snap.actor_reputation)
+        for actor_id, row in enumerate(zip(*columns)):
+            out.writerow([snap.step, actor_id, *(float(v) for v in row)])
+    written = (tmp_path / "actors.csv").read_bytes()
+    assert written == expected.getvalue().encode()
+    assert {b"-0.0", b"5e-324", b"1e-05", b"0.0001", b"1e+16", b"0.30000000000000004"} <= set(
+        written.replace(b"\n", b",").split(b","))
+
+
+@pytest.mark.parametrize("per_actor", [False, True])
+def test_run_names_the_files_it_wrote(tmp_path, capsys, per_actor):
+    out = tmp_path / "r"
+    code = main(["run", "--scenario", "experts", "--out", str(out), *FAST] + ["--per-actor"] * per_actor)
+    assert code == 0
+    outputs = json.loads(read(out / "manifest.json"))["outputs"]
+    assert ("actors.csv" in outputs) == per_actor
+    assert capsys.readouterr().out == f"wrote {out}/{', '.join(outputs)}\n"
 
 
 def test_per_actor_table(tmp_path):
@@ -190,6 +232,7 @@ def test_manifest_reproduces_run(tmp_path):
     main(["run", "--scenario", "trolls", "--seed", "4", "--out", str(out1), *FAST])
     manifest = json.loads(read(out1 / "manifest.json"))
     assert manifest["seed"] == 4 and manifest["scenario"] == "trolls"
+    assert manifest["python"] == platform.python_version() and manifest["numpy"] == np.__version__
     code = main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)])
     assert code == 0
     assert (out1 / "snapshots.csv").read_bytes() == (out2 / "snapshots.csv").read_bytes()

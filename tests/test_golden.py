@@ -56,6 +56,9 @@ CASES = {
     ),
     # Five receivers comment in a chain across 2^5 feedback cells.
     "trolls-N5": dict(scenario="trolls", seed=8, config={"n_receivers": 5}),
+    # The bench's pop1000-forget shape: a 1,000-actor table, many of whose
+    # actors never play and keep exact 0.0 popularities and 0.5 reputations.
+    "pop1000-forget": dict(scenario=None, seed=9, config={"n_actors": 1000, "remembrance": 0.999}),
 }
 STEPS = 2000
 SNAPSHOT_EVERY = 100
@@ -81,6 +84,11 @@ GOLDEN = {
         "snapshots.csv": "e492698aa3fb772379f355cc9376c93f074f35e0494765148003a4206642c7ce",
         "summary.csv": "70f4177092a7502c5fafde990d38359b71501875bf53fbb856c75e7eb5976f7d",
         "actors.csv": "7143c20e34df1d0874ab4321d185607585c7b17896bc83dc95c0c9944954cbfc",
+    },
+    "pop1000-forget": {
+        "snapshots.csv": "ed2deb74b2d57d2a033870b4d281ee72eb9ebbdd3d88f9b6e0da35df931b62b5",
+        "summary.csv": "07729bdd4d49ff9ebfac0a36015fc62d8f02806303edd1532f12c652999bd294",
+        "actors.csv": "cbea8030b9727876079a49f334ccfe7a2746adf72871447fd59236dfb8de1da1",
     },
     "trolls-N3": {
         "snapshots.csv": "62d855de78b9ddebf663ee681b499a953ac9ad70972919309fccc132c66174a4",

@@ -226,6 +226,18 @@ def test_a_carried_row_committed_to_another_session_raises(receivers, index, par
         assert same_bits(getattr(world, key), getattr(before, key))
 
 
+def test_a_carried_row_of_another_cell_raises():
+    world = disagreeing_world()
+    tensor = build_payoff_tensor(world, 0, [1], 0, TransferParams())
+    # The right session, but row 0 is the all-hold cell, not a send with a comment.
+    carried = StrategyProfile(True, (True,), (tensor.star, 0))
+    before = world.copy()
+    with pytest.raises(ValueError, match="another session or cell"):
+        execute_session(world, 0, [1], 0, carried, TransferParams())
+    for key in WORLD_KEYS:
+        assert same_bits(getattr(world, key), getattr(before, key))
+
+
 @PROPERTY
 @given(games(), st.data())
 def test_relabelling_the_actors_keeps_the_tensor(game, data):
