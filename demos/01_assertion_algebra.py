@@ -5,37 +5,35 @@ Run:  python3 demos/01_assertion_algebra.py
 
 import numpy as np
 
-from friendcast import (
-    Assertion,
-    Ontology,
-    StrategyProfile,
-    TransferParams,
-    World,
-    execute_session,
-    learn,
-)
+from friendcast import Ontology, StrategyProfile, TransferParams, World, execute_session
+from friendcast.knowledge import clamped_array, combined_belief, combined_knowledge
 
-print("An assertion pairs a quantity of knowledge with a belief.")
-astrology = Assertion(0.3, -0.9)  # knows a little, firmly disbelieves
-print(f"  {astrology}  ->  value {astrology.value:+.2f}")
-rumor = Assertion(0.8, 0.0)  # well informed about something unverifiable
-print(f"  {rumor}  ->  value {rumor.value:+.2f}")
 
-print("\nAverage knowledge is the mean absolute value across the base.")
-base = [astrology, rumor, Assertion(0.5, 1.0)]
-# An actor's base is its row of the population state. Two actors hold it,
-# because a session needs a sender and a receiver.
+def pair(k, b):
+    return f"({float(k)}, {float(b)})"
+
+
+print("An assertion pairs a quantity of knowledge k with a belief b; its value is k*b.")
+# An actor's base is its row of the population state: astrology (knows a
+# little, firmly disbelieves), a rumor (well informed about something
+# unverifiable) and a plain fact. Two actors hold it, because a session
+# needs a sender and a receiver.
+base_k, base_b = np.array([0.3, 0.8, 0.5]), np.array([-0.9, 0.0, 1.0])
 world = World(
-    knowledge=np.array([[a.k for a in base]] * 2),
-    belief=np.array([[a.b for a in base]] * 2),
+    knowledge=np.tile(base_k, (2, 1)),
+    belief=np.tile(base_b, (2, 1)),
     popularity=np.zeros(2),
     trust=np.eye(2),
     personality=np.tile([1.0, 0.0, 0.0], (2, 1)),
     willingness=np.ones(2),
-    ontology=Ontology.identity(len(base)),
+    ontology=Ontology.identity(len(base_k)),
 )
-K = world.average_knowledge_per_actor()[0]
-print(f"  base values {np.round(world.values()[0], 3)}  ->  K = {K:.3f}")
+values = world.values()[0]
+for k, b, value in zip(base_k[:2], base_b[:2], values):
+    print(f"  {pair(k, b)}  ->  value {value:+.2f}")
+
+print("\nAverage knowledge is the mean absolute value across the base.")
+print(f"  base values {np.round(values, 3)}  ->  K = {np.abs(values).mean():.3f}")
 
 print("\nForgetting shrinks both components, so values scale linearly:")
 for rate in (1.0, 0.81, 0.25):
@@ -43,23 +41,21 @@ for rate in (1.0, 0.81, 0.25):
     faded = world.copy()
     quiet = StrategyProfile.all_hold(1)
     execute_session(faded, 0, [1], None, quiet, TransferParams(remembrance=rate))
-    print(f"  remembrance {rate:4.2f}:  K = {faded.average_knowledge_per_actor()[0]:.3f}")
+    print(f"  remembrance {rate:4.2f}:  K = {np.abs(faded.values()[0]).mean():.3f}")
 
-print("\nLearning combines two instances of the same assertion.")
-cases = [
-    (Assertion(0.5, 0.0), Assertion(0.5, 0.8), "half-knowledge meets a believer"),
-    (Assertion(0.4, -0.7), Assertion(0.0, 1.0), "an ignorant enthusiast changes nothing"),
-    (Assertion(0.4, -0.7), Assertion(1.0, 1.0), "full knowledge absorbs"),
-]
-for have, heard, label in cases:
-    got = learn(have, heard)
+print("\nLearning combines two instances of the same assertion, elementwise:")
+labels = ["half-knowledge meets a believer", "an ignorant enthusiast changes nothing", "full knowledge absorbs"]
+have_k, have_b = np.array([0.5, 0.4, 0.4]), np.array([0.0, -0.7, -0.7])
+heard_k, heard_b = np.array([0.5, 0.0, 1.0]), np.array([0.8, 1.0, 1.0])
+# the added belief is weighted by the added knowledge, as the session kernel does
+got_k = clamped_array(combined_knowledge(have_k, heard_k), 0.0, 1.0)
+got_b = clamped_array(combined_belief(have_b, heard_b, heard_k), -1.0, 1.0)
+for i, label in enumerate(labels):
     print(f"  {label}:")
-    print(f"    {have} + {heard} -> k={got.k:.3f}, b={got.b:+.3f}")
+    print(f"    {pair(have_k[i], have_b[i])} + {pair(heard_k[i], heard_b[i])} -> k={got_k[i]:.3f}, b={got_b[i]:+.3f}")
 
 print("\nBeliefs saturate: repeated agreement approaches +1 without crossing it.")
-a = Assertion(0.5, 0.1)
-trail = [a.b]
+trail = [0.1]  # (0.5, 0.1) hears (0.6, 0.9) six times
 for _ in range(6):
-    a = learn(a, Assertion(0.6, 0.9))
-    trail.append(a.b)
+    trail.append(combined_belief(trail[-1], 0.9, 0.6))
 print("  belief trail:", [f"{b:+.3f}" for b in trail])

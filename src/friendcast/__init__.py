@@ -10,7 +10,7 @@ applied to the population state.
 
 __version__ = "0.1.0"
 
-from .knowledge import Assertion, Ontology, learn
+from .knowledge import Ontology
 from .transfer import TransferParams, execute_session
 from .game import StrategyProfile, build_payoff_tensor, find_pure_nash, select_profile
 from .world import World
@@ -18,7 +18,6 @@ from .harness import simulate
 from .scenarios import scenario_config
 
 __all__ = [
-    "Assertion",
     "Ontology",
     "StrategyProfile",
     "TransferParams",
@@ -26,7 +25,6 @@ __all__ = [
     "build_payoff_tensor",
     "execute_session",
     "find_pure_nash",
-    "learn",
     "scenario_config",
     "select_profile",
     "simulate",

@@ -217,12 +217,22 @@ def _parse_scalar(key: str, text: str):
         raise ConfigError(f"bad {key} value {text!r}")
 
 
+def _parse_list(key: str, text: str) -> list:
+    """Parse a comma-separated list, rejecting an entry repeated once parsed (`1` and `1.0`)."""
+    parsed = [_parse_scalar(key, t) for t in text.split(",")]
+    if len(set(parsed)) < len(parsed):
+        raise ConfigError(f"repeated {key} value in {text!r}: each run needs its own directory")
+    return parsed
+
+
 def cmd_sweep(args) -> int:
     if args.vary not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {args.vary!r}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     scenario, base = resolve_config(args)
-    values = [_parse_scalar(args.vary, v) for v in args.values.split(",")]
-    seeds = [_parse_scalar("rng_seed", s) for s in args.seeds.split(",")]
+    values = _parse_list(args.vary, args.values)
+    seeds = _parse_list("rng_seed", args.seeds)
     out_root = Path(args.out)
 
     tasks = []

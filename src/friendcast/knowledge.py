@@ -1,4 +1,4 @@
-"""Assertion algebra: fuzzy knowledge/belief tuples and the learning operator.
+"""Assertion algebra: the learning operator on arrays, the drift guard, the ontology.
 
 An assertion is a pair (k, b): k in [0, 1] is the quantity of knowledge an
 actor holds about one elementary fact, b in [-1, 1] is the belief attached
@@ -6,13 +6,11 @@ to it (negative = disbelief, 0 = unverifiable rumor). The product k*b is the
 assertion's value; the mean absolute value across an actor's assertions
 (its row in `World`) is the actor's average knowledge.
 
-Everything here is a pure function on plain values or arrays; the session
+Everything here is a pure function on numpy arrays or floats; the session
 kernel in `transfer.py` applies the operators to whole rows of `World`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,26 +33,6 @@ def clamped_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(values, lo), hi) if low < lo or high > hi else values
 
 
-def _clamped(value: float, lo: float, hi: float) -> float:
-    return float(clamped_array(np.float64(value), lo, hi))
-
-
-@dataclass(frozen=True)
-class Assertion:
-    """One unit of transferable information: knowledge quantity k, belief b."""
-
-    k: float
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", _clamped(float(self.k), 0.0, 1.0))
-        object.__setattr__(self, "b", _clamped(float(self.b), -1.0, 1.0))
-
-    @property
-    def value(self) -> float:
-        return self.k * self.b
-
-
 def combined_knowledge(k_have, k_added):
     """Knowledge part of the learning operator: k + k'(1 - k).
 
@@ -73,18 +51,6 @@ def combined_belief(b_have, b_added, weight):
     """
     gain = np.where(b_added >= 0.0, 1.0 - b_have, 1.0 + b_have)
     return b_have + weight * b_added * gain
-
-
-def learn(x: Assertion, y: Assertion) -> Assertion:
-    """Combine two instances of the same assertion.
-
-    Learning an instance with zero knowledge changes nothing; an instance
-    with full knowledge absorbs everything; results never exceed full
-    knowledge or leave the belief range.
-    """
-    k = _clamped(float(combined_knowledge(x.k, y.k)), 0.0, 1.0)
-    b = _clamped(float(combined_belief(x.b, y.b, y.k)), -1.0, 1.0)
-    return Assertion(k, b)
 
 
 class Ontology:

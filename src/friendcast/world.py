@@ -7,7 +7,7 @@ per-actor Python objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,24 +54,13 @@ class World:
         return self.knowledge.shape[1]
 
     def copy(self) -> "World":
-        # The ontology is immutable and safely shared between copies.
-        return World(
-            knowledge=self.knowledge.copy(),
-            belief=self.belief.copy(),
-            popularity=self.popularity.copy(),
-            trust=self.trust.copy(order="F"),
-            personality=self.personality,
-            willingness=self.willingness,
-            ontology=self.ontology,
-        )
+        # Personality, willingness and the immutable ontology are shared; __post_init__ sets reputation.
+        return replace(self, knowledge=self.knowledge.copy(), belief=self.belief.copy(),
+                       popularity=self.popularity.copy(), trust=self.trust.copy(order="F"))
 
     def values(self) -> np.ndarray:
         """(n, A) matrix of assertion values k*b."""
         return self.knowledge * self.belief
-
-    def average_knowledge_per_actor(self) -> np.ndarray:
-        """Per-actor mean absolute assertion value."""
-        return np.abs(self.values()).mean(axis=1)
 
     def reputations(self) -> np.ndarray:
         """Mean trust of all other actors in each actor, summed from the trust matrix."""

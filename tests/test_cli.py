@@ -280,11 +280,27 @@ def test_sweep_over_rng_seed_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("values, seeds", [("abc", "1"), ("1", "x"), ("1,2.5", "1")])
-def test_sweep_unparsable_value_or_seed_exits_one(tmp_path, capsys, values, seeds):
+BAD_SWEEPS = [  # --vary, --values, --seeds, --jobs
+    ("n_receivers", "abc", "1", "1"),
+    ("n_receivers", "1", "x", "1"),
+    ("n_receivers", "1,2.5", "1", "1"),
+    # entries repeated once parsed would share one run directory
+    ("n_receivers", "1,01", "3", "1"),
+    ("n_receivers", "1", "3,3", "2"),
+    ("remembrance", "1,1.0", "3", "1"),
+    ("n_receivers", "1", "3", "0"),
+    ("n_receivers", "1", "3", "-1"),
+]
+
+
+@pytest.mark.parametrize("vary, values, seeds, jobs", BAD_SWEEPS, ids=[
+    f"{values}-{seeds}" + ("" if vary == "n_receivers" else f"-{vary}") + ("" if jobs == "1" else f"-jobs={jobs}")
+    for vary, values, seeds, jobs in BAD_SWEEPS
+])
+def test_sweep_unparsable_value_or_seed_exits_one(tmp_path, capsys, vary, values, seeds, jobs):
     out = tmp_path / "s"
-    code = main(["sweep", "--scenario", "trolls", "--vary", "n_receivers",
-                 "--values", values, "--seeds", seeds, "--out", str(out), *FAST])
+    code = main(["sweep", "--scenario", "trolls", "--vary", vary, "--values", values,
+                 "--seeds", seeds, "--jobs", jobs, "--out", str(out), *FAST])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

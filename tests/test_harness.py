@@ -106,7 +106,7 @@ def test_init_population_hits_tier_targets_exactly():
         knowledge_tiers=[[1 / 3, 0.9], [1 / 3, 0.1], [1 / 3, 0.5]],
     )
     world = init_population(cfg, np.random.default_rng(0))
-    per_actor = world.average_knowledge_per_actor()
+    per_actor = take_snapshot(world, 0).actor_mean_abs_value
     assert np.allclose(per_actor[:3], 0.9)
     assert np.allclose(per_actor[3:6], 0.1)
     assert np.allclose(per_actor[6:], 0.5)

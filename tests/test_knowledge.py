@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from friendcast.game import StrategyProfile
-from friendcast.harness import ConfigError, ScenarioConfig
+from friendcast.harness import ConfigError, ScenarioConfig, take_snapshot
 from friendcast.knowledge import (
-    Assertion,
     DriftError,
     Ontology,
     clamped_array,
     combined_belief,
     combined_knowledge,
-    learn,
 )
 from friendcast.transfer import TransferParams, execute_session
 from friendcast.world import World
@@ -37,6 +35,18 @@ def _world(knowledge, belief):
     )
 
 
+def _average_knowledge(world):
+    """Each actor's average knowledge, as `actors.csv` reports it."""
+    return take_snapshot(world, 0).actor_mean_abs_value
+
+
+def _learned(have, heard):
+    """The learning operator on (k, b) pairs, clamped as the session kernel clamps."""
+    (k, b), (k_added, b_added) = np.asarray(have, dtype=float), np.asarray(heard, dtype=float)
+    return (clamped_array(combined_knowledge(k, k_added), 0.0, 1.0),
+            clamped_array(combined_belief(b, b_added, k_added), -1.0, 1.0))
+
+
 def _forgotten(world, remembrance):
     """The world after one quiet session: every actor forgets once."""
     params = TransferParams(remembrance=remembrance)
@@ -45,31 +55,18 @@ def _forgotten(world, remembrance):
 
 
 def test_assertion_value_examples():
-    assert Assertion(0.3, -0.9).value == pytest.approx(-0.27, abs=EXACT)
-    assert Assertion(0.0, 0.7).value == 0.0
-    assert Assertion(1.0, 1.0).value == 1.0
     values = _world([[0.3], [0.0], [1.0]], [[-0.9], [0.7], [1.0]]).values()[:, 0]
     assert values[0] == pytest.approx(-0.27, abs=EXACT)
     assert values[1] == 0.0 and values[2] == 1.0
 
 
-def test_assertion_rejects_out_of_range():
-    with pytest.raises(DriftError):
-        Assertion(1.5, 0.0)
-    with pytest.raises(DriftError):
-        Assertion(0.5, -1.1)
-    # drift-sized excursions are absorbed
-    a = Assertion(1.0 + 1e-12, -1.0 - 1e-12)
-    assert a.k == 1.0 and a.b == -1.0
-
-
 def test_average_knowledge_examples():
     full = _world([[1.0, 1.0, 1.0]] * 2, [[1.0, 1.0, 1.0]] * 2)
-    assert full.average_knowledge_per_actor()[0] == 1.0
+    assert _average_knowledge(full)[0] == 1.0
     no_belief = _world([[0.2, 0.9]] * 2, [[0.0, 0.0]] * 2)
-    assert no_belief.average_knowledge_per_actor()[0] == 0.0
+    assert _average_knowledge(no_belief)[0] == 0.0
     mixed = _world([[0.3, 0.5]] * 2, [[-0.9, 1.0]] * 2)
-    assert mixed.average_knowledge_per_actor()[0] == pytest.approx(0.385, abs=EXACT)
+    assert _average_knowledge(mixed)[0] == pytest.approx(0.385, abs=EXACT)
 
 
 def test_average_knowledge_empty_base_is_an_error():
@@ -83,7 +80,7 @@ def test_average_knowledge_permutation_invariant():
     b = rng.uniform(-1, 1, 12)
     perms = [np.arange(12)] + [rng.permutation(12) for _ in range(5)]
     world = _world([k[p] for p in perms], [b[p] for p in perms])
-    averages = world.average_knowledge_per_actor()
+    averages = _average_knowledge(world)
     assert averages[1:] == pytest.approx(np.full(5, averages[0]), abs=EXACT)
 
 
@@ -117,29 +114,26 @@ def test_forget_scales_values_linearly():
 
 
 def test_learn_worked_example():
-    out = learn(Assertion(0.5, 0.0), Assertion(0.5, 0.8))
-    assert out.k == pytest.approx(0.75, abs=EXACT)
-    assert out.b == pytest.approx(0.4, abs=EXACT)
+    k, b = _learned((0.5, 0.0), (0.5, 0.8))
+    assert k == pytest.approx(0.75, abs=EXACT)
+    assert b == pytest.approx(0.4, abs=EXACT)
 
 
 def test_learn_zero_knowledge_is_identity():
     # learning an instance with no knowledge changes nothing, exactly
-    for b_added in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        x = Assertion(0.37, -0.21)
-        out = learn(x, Assertion(0.0, b_added))
-        assert out.k == x.k and out.b == x.b
+    b_added = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
+    k, b = _learned((np.full(5, 0.37), np.full(5, -0.21)), (np.zeros(5), b_added))
+    assert np.all(k == 0.37) and np.all(b == -0.21)
 
 
 def test_learn_full_knowledge_absorbs():
-    for k_x in (0.0, 0.4, 1.0):
-        out = learn(Assertion(k_x, 0.2), Assertion(1.0, 0.5))
-        assert out.k == 1.0
+    k, _ = _learned(([0.0, 0.4, 1.0], np.full(3, 0.2)), (np.ones(3), np.full(3, 0.5)))
+    assert np.all(k == 1.0)
 
 
 def test_learn_at_double_zero_returns_first_operand():
-    x = Assertion(0.0, 0.6)
-    out = learn(x, Assertion(0.0, -0.4))
-    assert out.k == x.k and out.b == x.b
+    k, b = _learned((0.0, 0.6), (0.0, -0.4))
+    assert k == 0.0 and b == 0.6
 
 
 def _random_tuples(rng, size):
@@ -177,20 +171,14 @@ def test_learn_axioms_randomized_100k():
     assert np.allclose(combined_knowledge(kx, np.ones(n)), 1.0, atol=EXACT)
 
 
-def test_learn_scalar_matches_vector_form():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        kx, ky = rng.uniform(0, 1, 2)
-        bx, by = rng.uniform(-1, 1, 2)
-        out = learn(Assertion(kx, bx), Assertion(ky, by))
-        assert out.k == pytest.approx(float(combined_knowledge(kx, ky)), abs=EXACT)
-        assert out.b == pytest.approx(float(combined_belief(bx, by, ky)), abs=EXACT)
-
-
 def test_clamped_array_guards_drift():
     assert np.all(clamped_array(np.array([1.0 + 1e-13, -1e-13]), 0.0, 1.0) >= 0.0)
-    with pytest.raises(DriftError):
-        clamped_array(np.array([1.0 + 1e-6]), 0.0, 1.0)
+    for beyond, lo, hi in ([1.0 + 1e-6], 0.0, 1.0), ([1.5], 0.0, 1.0), ([-1.1], -1.0, 1.0):
+        with pytest.raises(DriftError):
+            clamped_array(np.array(beyond), lo, hi)
+    # drift-sized excursions are absorbed onto the bound, scalars included
+    assert clamped_array(np.array([1.0 + 1e-12]), 0.0, 1.0)[0] == 1.0
+    assert clamped_array(np.float64(-1.0 - 1e-12), -1.0, 1.0) == -1.0
 
 
 def test_ontology_validation():

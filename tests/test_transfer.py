@@ -8,7 +8,7 @@ import pytest
 from friendcast import knowledge
 from friendcast.game import StrategyProfile
 from friendcast.harness import ConfigError, ScenarioConfig
-from friendcast.knowledge import Assertion, Ontology, learn
+from friendcast.knowledge import Ontology, combined_belief, combined_knowledge
 from friendcast.transfer import (
     BELIEF_WEIGHT_MODES,
     TransferParams,
@@ -54,12 +54,11 @@ def test_perceived_delta_off_index_identity_ontology_is_zero():
 
 def test_perceived_delta_full_trust_reproduces_sender_tuple():
     # a fully trusting receiver learns exactly the sender's tuple
-    sent = Assertion(0.8, 0.6)
-    world = _pair(([0.3, sent.k], [0.0, sent.b]), ([0.2, 0.9], [-0.8, 0.1]), trust=1.0)
+    sent_k, sent_b = 0.8, 0.6
+    world = _pair(([0.3, sent_k], [0.0, sent_b]), ([0.2, 0.9], [-0.8, 0.1]), trust=1.0)
     _send(world, 1)
-    learned = learn(Assertion(0.9, 0.1), sent)
-    assert world.knowledge[1, 1] == pytest.approx(learned.k, abs=EXACT)
-    assert world.belief[1, 1] == pytest.approx(learned.b, abs=EXACT)
+    assert world.knowledge[1, 1] == pytest.approx(combined_knowledge(0.9, sent_k), abs=EXACT)
+    assert world.belief[1, 1] == pytest.approx(combined_belief(0.1, sent_b, sent_k), abs=EXACT)
 
 
 def test_perceived_delta_zero_trust_uses_self_assessment():
@@ -74,9 +73,8 @@ def test_perceived_delta_zero_trust_uses_self_assessment():
         (1.0 if kk == 2 else 0.0) * beliefs[kk] for kk in range(a_count)
     ) / a_count
     # the receiver learns the sender's knowledge with its own guess as the belief
-    learned = learn(Assertion(0.3, 0.5), Assertion(0.8, expected_guess))
-    assert world.knowledge[1, 2] == pytest.approx(learned.k, abs=EXACT)
-    assert world.belief[1, 2] == pytest.approx(learned.b, abs=EXACT)
+    assert world.knowledge[1, 2] == pytest.approx(combined_knowledge(0.3, 0.8), abs=EXACT)
+    assert world.belief[1, 2] == pytest.approx(combined_belief(0.5, expected_guess, 0.8), abs=EXACT)
 
 
 def test_apply_knowledge_transfer_absorption():
