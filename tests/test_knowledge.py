@@ -171,14 +171,21 @@ def test_learn_axioms_randomized_100k():
     assert np.allclose(combined_knowledge(kx, np.ones(n)), 1.0, atol=EXACT)
 
 
-def test_clamped_array_guards_drift():
-    assert np.all(clamped_array(np.array([1.0 + 1e-13, -1e-13]), 0.0, 1.0) >= 0.0)
-    for beyond, lo, hi in ([1.0 + 1e-6], 0.0, 1.0), ([1.5], 0.0, 1.0), ([-1.1], -1.0, 1.0):
-        with pytest.raises(DriftError):
-            clamped_array(np.array(beyond), lo, hi)
+def test_assertion_rejects_out_of_range():
+    # knowledge lives in [0, 1] and belief in [-1, 1], as the session kernel clamps them
+    with pytest.raises(DriftError):
+        clamped_array(np.array([1.5]), 0.0, 1.0)
+    with pytest.raises(DriftError):
+        clamped_array(np.array([-1.1]), -1.0, 1.0)
     # drift-sized excursions are absorbed onto the bound, scalars included
     assert clamped_array(np.array([1.0 + 1e-12]), 0.0, 1.0)[0] == 1.0
     assert clamped_array(np.float64(-1.0 - 1e-12), -1.0, 1.0) == -1.0
+
+
+def test_clamped_array_guards_drift():
+    assert np.all(clamped_array(np.array([1.0 + 1e-13, -1e-13]), 0.0, 1.0) >= 0.0)
+    with pytest.raises(DriftError):
+        clamped_array(np.array([1.0 + 1e-6]), 0.0, 1.0)
 
 
 def test_ontology_validation():
