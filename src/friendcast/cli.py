@@ -154,10 +154,7 @@ def resolve_config(args) -> tuple[str, ScenarioConfig]:
     for key, value in (("rng_seed", args.seed), ("n_steps", args.steps), ("snapshot_every", args.snapshot_every)):
         if value is not None:
             base[key] = value
-    try:
-        return label, ScenarioConfig.from_dict(base)
-    except (ConfigError, TypeError, ValueError) as err:
-        raise ConfigError(str(err))
+    return label, ScenarioConfig.from_dict(base)
 
 
 def _run_one(task) -> tuple[list, list[str]]:
@@ -226,6 +223,8 @@ def _parse_list(key: str, text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.seed is not None:
+        raise ConfigError("sweep takes its seeds from --seeds, not --seed")
     if args.vary not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {args.vary!r}")
     if args.jobs < 1:
@@ -238,10 +237,7 @@ def cmd_sweep(args) -> int:
     tasks = []
     for value in values:
         for seed in seeds:
-            data = base.to_dict()
-            data[args.vary] = value
-            data["rng_seed"] = seed
-            cfg = ScenarioConfig.from_dict(data)
+            cfg = dataclasses.replace(base, **{args.vary: value, "rng_seed": seed})
             run_dir = out_root / f"{args.vary}={value}_seed={seed}"
             tasks.append((f"{scenario}[{args.vary}={value}]", cfg, run_dir, args.per_actor))
 

@@ -28,6 +28,9 @@ class ScenarioConfig:
     """Everything that pins down one simulation run, checked once when built.
 
     An `int` field must be an integer, a `float` field a rate in [0, 1]; a bool is neither.
+    `knowledge_tiers` is a nonempty list of [fraction, target] rate pairs whose fractions
+    sum to 1; `ontology` is "identity" or an n_assertions-square matrix with diagonal 1 and
+    finite entries in [-1, 1]. Any malformed value raises `ConfigError` naming its field.
     """
 
     n_actors: int = 100
@@ -82,22 +85,24 @@ class ScenarioConfig:
         weight_sum = self.knowledge_weight + self.reputation_weight + self.popularity_weight
         if abs(weight_sum - 1.0) > 1e-9:
             raise ConfigError(f"personality weights sum to {weight_sum!r}, expected 1")
-        if not self.knowledge_tiers:
-            raise ConfigError("knowledge_tiers must be nonempty")
+        tiers = self.knowledge_tiers
+        if not (isinstance(tiers, (list, tuple)) and tiers
+                and all(isinstance(t, (list, tuple)) and len(t) == 2 for t in tiers)):
+            raise ConfigError(f"knowledge_tiers={tiers!r} is not a nonempty list of [fraction, target] pairs")
         fractions = 0.0
-        for tier in self.knowledge_tiers:
-            if len(tier) != 2:
-                raise ConfigError("each knowledge tier is a [fraction, target] pair")
-            frac, target = tier
-            if not (_is_rate(frac) and _is_rate(target)):
+        for tier in tiers:
+            if not all(map(_is_rate, tier)):
                 raise ConfigError(f"bad knowledge tier {tier!r}")
-            fractions += frac
+            fractions += tier[0]
         if abs(fractions - 1.0) > 1e-9:
             raise ConfigError(f"tier fractions sum to {fractions!r}, expected 1")
         if self.ontology_belief_weight not in BELIEF_WEIGHT_MODES:
             raise ConfigError(f"unknown ontology_belief_weight {self.ontology_belief_weight!r}")
         if not isinstance(self.ontology, str):
-            size = Ontology(self.ontology).size  # raises on a malformed matrix
+            try:
+                size = Ontology(self.ontology).size
+            except (TypeError, ValueError, ArithmeticError) as err:
+                raise ConfigError(f"ontology is not a valid matrix: {err}")
             if size != self.n_assertions:
                 raise ConfigError(f"explicit ontology is {size}x{size}, n_assertions is {self.n_assertions}")
         elif self.ontology != "identity":

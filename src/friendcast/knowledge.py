@@ -25,11 +25,11 @@ class DriftError(ArithmeticError):
 
 
 def clamped_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Clamp an array into [lo, hi], rejecting excursions beyond drift; no copy if inside."""
+    """Clamp an array into [lo, hi], rejecting excursions beyond drift and NaN; no copy if inside."""
     low = np.minimum.reduce(values, axis=None)
     high = np.maximum.reduce(values, axis=None)
-    if lo - low > DRIFT_TOLERANCE or high - hi > DRIFT_TOLERANCE:
-        raise DriftError(f"range [{low!r}, {high!r}] outside [{lo}, {hi}] beyond drift tolerance")
+    if not (lo - low <= DRIFT_TOLERANCE and high - hi <= DRIFT_TOLERANCE):  # NaN fails both
+        raise DriftError(f"range [{float(low)!r}, {float(high)!r}] outside [{lo}, {hi}] beyond drift tolerance")
     return np.minimum(np.maximum(values, lo), hi) if low < lo or high > hi else values
 
 

@@ -36,4 +36,4 @@ def scenario_config(name: str, **overrides) -> ScenarioConfig:
     if name not in BUILTIN_SCENARIOS:
         known = ", ".join(sorted(BUILTIN_SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r} (known: {known})")
-    return ScenarioConfig(**{**BUILTIN_SCENARIOS[name], **overrides})
+    return ScenarioConfig.from_dict({**BUILTIN_SCENARIOS[name], **overrides})

@@ -276,8 +276,7 @@ def execute_session(
         root = np.sqrt(params.remembrance)
         world.knowledge *= root
         world.belief *= root
-    if params.popularity_decay != 0.0:
-        world.popularity *= 1.0 - params.popularity_decay
+    world.popularity *= 1.0 - params.popularity_decay
     participants = np.array([sender, *receivers])
     world.knowledge[participants] = star.knowledge[row]
     world.belief[participants] = star.belief[row]

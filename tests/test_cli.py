@@ -69,8 +69,17 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     ({"knowledge_tiers": [[float("nan"), 0.5]]}, [], "knowledge tier"),
     ({"knowledge_tiers": [[True, 0.5]]}, [], "knowledge tier"),
     ({"knowledge_tiers": [[1.0, False]]}, [], "knowledge tier"),
+    ({"knowledge_tiers": 5}, [], "knowledge_tiers"),
+    ({"knowledge_tiers": [5]}, [], "knowledge_tiers"),
+    ({"knowledge_tiers": [None]}, [], "knowledge_tiers"),
+    ({"n_assertions": 2, "ontology": [[1, 2], [2, 1]]}, [], "ontology"),
+    # json.dumps writes NaN, which json.load reads back
+    ({"n_assertions": 2, "n_steps": 20, "ontology": [[1, float("nan")], [0, 1]],
+      "ontology_belief_weight": "source"}, [], "ontology"),
+    ({"n_assertions": 2, "ontology": {"a": 1}}, [], "ontology"),
 ], ids=["float-n_actors", "float-n_steps", "float-snapshot_every", "bool-n_receivers",
-        "float-rng_seed", "negative-seed", "nan-tier-fraction", "bool-tier-fraction", "bool-tier-target"])
+        "float-rng_seed", "negative-seed", "nan-tier-fraction", "bool-tier-fraction", "bool-tier-target",
+        "int-tiers", "int-tier", "null-tier", "out-of-range-ontology", "nan-ontology", "dict-ontology"])
 def test_run_malformed_value_exits_one_cleanly(tmp_path, capsys, overrides, args, field):
     if overrides is not None:
         config = tmp_path / "cfg.json"
@@ -277,6 +286,16 @@ def test_sweep_over_rng_seed_exits_one(tmp_path, capsys):
                  "--values", "5,6", "--seeds", "1", "--out", str(out), *FAST])
     assert code == 1
     assert capsys.readouterr().err == "error: unknown sweep parameter 'rng_seed'\n"
+    assert not out.exists()
+
+
+def test_sweep_refuses_seed(tmp_path, capsys):
+    # --seeds sets every run's rng_seed, so a --seed would be silently dropped
+    out = tmp_path / "s"
+    code = main(["sweep", "--scenario", "experts", "--seed", "5", "--vary", "n_receivers",
+                 "--values", "1", "--seeds", "1,2", "--out", str(out), *FAST])
+    assert code == 1
+    assert capsys.readouterr().err == "error: sweep takes its seeds from --seeds, not --seed\n"
     assert not out.exists()
 
 

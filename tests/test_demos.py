@@ -35,8 +35,10 @@ def test_the_exports_are_exactly_what_the_demos_import():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_zero(demo):
+def test_demo_exits_zero(demo, request):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # The suite's warning filters, so a NaN or an overflow in a demo fails here too.
+    warnings = [f"-W{entry}" for entry in request.config.getini("filterwarnings")]
+    done = subprocess.run([sys.executable, *warnings, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

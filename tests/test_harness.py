@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendcast import game, harness, transfer
 from friendcast.harness import (
@@ -45,8 +47,27 @@ def test_config_validation_catches_bad_values():
         tiny_config(remembrance=1.5).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"no_such_key": 1})
+    with pytest.raises(ConfigError, match="no_such_key"):
+        scenario_config("experts", no_such_key=1)
     with pytest.raises(ConfigError):
         tiny_config(ontology="random").validate()
+
+
+# Every value a JSON config file can hold; floats include NaN and both infinities.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([f.name for f in dataclasses.fields(ScenarioConfig)]), JSON_VALUES)
+def test_any_json_value_in_one_field_builds_or_raises_config_error(name, value):
+    try:
+        ScenarioConfig.from_dict({name: value})
+    except ConfigError:
+        pass
 
 
 def test_config_round_trips_through_dict():

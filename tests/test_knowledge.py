@@ -186,6 +186,8 @@ def test_clamped_array_guards_drift():
     assert np.all(clamped_array(np.array([1.0 + 1e-13, -1e-13]), 0.0, 1.0) >= 0.0)
     with pytest.raises(DriftError):
         clamped_array(np.array([1.0 + 1e-6]), 0.0, 1.0)
+    with pytest.raises(DriftError):  # NaN compares False against both bounds
+        clamped_array(np.array([np.nan, 0.5]), 0.0, 1.0)
 
 
 def test_ontology_validation():
