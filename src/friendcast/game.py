@@ -83,16 +83,17 @@ def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 @dataclass(eq=False)
 class PayoffTensor:
-    """Utility deltas for every cell; player 0 is the sender, then receivers."""
+    """Utility deltas for every cell; player 0 is the sender, then receivers.
 
-    sender: int
-    receivers: tuple[int, ...]
+    A tensor is its dense payoffs plus, when played, its star, which names the session.
+    """
+
     payoffs: np.ndarray  # (2^(N+1), N+1), indexed by cell
     star: StarCells | None = field(default=None, repr=False)  # the feasible cells, when played
 
     @property
     def n_receivers(self) -> int:
-        return len(self.receivers)
+        return self.payoffs.shape[1] - 1
 
     def payoff(self, profile: StrategyProfile) -> tuple[float, ...]:
         if len(profile.feedback) != self.n_receivers:
@@ -122,14 +123,13 @@ def build_payoff_tensor(
 
     Forgetting and idle decay run identically inside every hypothetical
     session, so differences between cells isolate the action choices. The
-    input world is never modified. The played star stays on the tensor,
-    and `execute_session` commits its row for the selected profile: a
-    cell's bits do not depend on the others, so a row is its session.
+    input world is never modified. The played star names the session and
+    stays on the tensor; `execute_session` commits its row for the selected
+    profile: a cell's bits do not depend on the others, so a row is its session.
     """
-    receivers = tuple(int(r) for r in receivers)
     _, _, played, acts = _layout(len(receivers))
     star = play_star(world, sender, receivers, index, params, acts)
-    return PayoffTensor(int(sender), receivers, star.deltas[played], star)
+    return PayoffTensor(star.deltas[played], star)
 
 
 def _gains(tensor: PayoffTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -232,9 +232,9 @@ class RunResult:
 
     snapshots: list[Snapshot]
     sends: int
-    feedback_slots: int
     responses: int
     n_steps: int
+    n_receivers: int
 
     @property
     def send_rate(self) -> float:
@@ -242,7 +242,7 @@ class RunResult:
 
     @property
     def feedback_rate(self) -> float:
-        return self.responses / self.feedback_slots if self.feedback_slots else 0.0
+        return self.responses / (self.sends * self.n_receivers) if self.sends else 0.0
 
     def steps_to_threshold(self, threshold: float) -> int | None:
         for snap in self.snapshots:
@@ -256,12 +256,11 @@ def simulate(cfg: ScenarioConfig) -> RunResult:
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
     snapshots = [take_snapshot(world, 0)]
-    sends = feedback_slots = responses = 0
+    sends = responses = 0
     for t in range(1, cfg.n_steps + 1):
         outcome = step(world, cfg, rng)
         if outcome.sent:
             sends += 1
-            feedback_slots += cfg.n_receivers
             responses += len(outcome.responders)
         if t % cfg.snapshot_every == 0 or t == cfg.n_steps:
             snapshots.append(take_snapshot(world, t))
@@ -269,8 +268,8 @@ def simulate(cfg: ScenarioConfig) -> RunResult:
     return RunResult(
         snapshots=snapshots,
         sends=sends,
-        feedback_slots=feedback_slots,
         responses=responses,
         n_steps=cfg.n_steps,
+        n_receivers=cfg.n_receivers,
     )
 

@@ -3,10 +3,15 @@
 This is the independent oracle for the session protocol: plain Python
 floats and explicit loops, written directly from the update rules, sharing
 no code with the library's vectorized path. Tests compare the two on
-random micro-worlds.
+random micro-worlds, through the one bridge at the end of this module:
+`replay` plays a session on a mirror of a `World` and `gap` measures how
+far a played world is from that mirror.
 """
 
+import dataclasses
 import math
+
+import numpy as np
 
 
 def clamp(v, lo, hi):
@@ -123,3 +128,33 @@ def oracle_session(w, sender, receivers, index, send, feedback, params):
 
     u_after = utilities(w, participants)
     return {p: u_after[i] - u_before[i] for i, p in enumerate(participants)}
+
+
+def as_oracle_world(world):
+    """The dict-of-lists mirror of a `World` that `oracle_session` plays on."""
+    return {
+        "k": [list(row) for row in world.knowledge],
+        "b": [list(row) for row in world.belief],
+        "pop": list(world.popularity),
+        "trust": [list(row) for row in world.trust],
+        "personality": [tuple(row) for row in world.personality],
+        "w": list(world.willingness),
+        "m": [list(row) for row in world.ontology.m],
+    }
+
+
+def replay(world, sender, receivers, index, send, feedback, params):
+    """Play one session on a mirror of `world`, which stays as it is.
+
+    `params` is a `TransferParams`. Returns the oracle's {actor: utility
+    delta} and the mirror after the session.
+    """
+    mirror = as_oracle_world(world)
+    deltas = oracle_session(mirror, sender, receivers, index, send, feedback, dataclasses.asdict(params))
+    return deltas, mirror
+
+
+def gap(world, mirror):
+    """The largest absolute gap from `world` to `mirror` in knowledge, belief, popularity and trust."""
+    pairs = (("knowledge", "k"), ("belief", "b"), ("popularity", "pop"), ("trust", "trust"))
+    return max(float(np.abs(getattr(world, key) - np.array(mirror[m])).max()) for key, m in pairs)

@@ -20,9 +20,9 @@ from friendcast.harness import simulate
 from friendcast.transfer import TransferParams, execute_session
 
 from conftest import record_criterion
-from session_oracle import oracle_session
+from session_oracle import gap, replay
 from test_game import brute_force_nash, random_game, tensor_from_cells
-from test_transfer_oracle import as_oracle_world, random_instance
+from test_transfer_oracle import random_instance
 
 EXACT = 1e-12
 SEEDS = list(range(1, 11))
@@ -104,25 +104,13 @@ def test_criterion_2_transfer_oracle_equivalence():
     trials = 1000
     for _ in range(trials):
         world, params, sender, receivers, index, send, feedback = random_instance(rng)
-        mirror = as_oracle_world(world)
+        oracle_deltas, mirror = replay(world, sender, receivers, index, send, feedback, params)
         outcome = execute_session(
             world, sender, receivers, index, StrategyProfile(send, feedback), params
         )
-        oracle_deltas = oracle_session(
-            mirror, sender, receivers, index, send, feedback,
-            dict(
-                remembrance=params.remembrance,
-                trust_history_weight=params.trust_history_weight,
-                popularity_decay=params.popularity_decay,
-                belief_weight_mode=params.belief_weight_mode,
-            ),
-        )
         worst = max(
             worst,
-            float(np.max(np.abs(world.knowledge - np.array(mirror["k"])))),
-            float(np.max(np.abs(world.belief - np.array(mirror["b"])))),
-            float(np.max(np.abs(world.popularity - np.array(mirror["pop"])))),
-            float(np.max(np.abs(world.trust - np.array(mirror["trust"])))),
+            gap(world, mirror),
             max(
                 abs(outcome.utility_deltas[a] - oracle_deltas[a])
                 for a in outcome.utility_deltas

@@ -170,7 +170,7 @@ def test_actor_table_bytes_are_what_csv_writer_writes(tmp_path):
                  histogram=np.zeros(cli.HISTOGRAM_BINS, dtype=int), mean_value=0.0, mean_abs_value=0.0, std_value=0.0)
         for step in (0, 25)
     ]
-    result = RunResult(snapshots, sends=0, feedback_slots=0, responses=0, n_steps=25)
+    result = RunResult(snapshots, sends=0, responses=0, n_steps=25, n_receivers=1)
     cli.write_actors(tmp_path / "actors.csv", result)
 
     expected = io.StringIO()

@@ -26,7 +26,7 @@ def tensor_from_cells(cells):
     for key, vec in cells.items():
         if key[0]:
             payoffs[StrategyProfile(key[0], tuple(key[1:])).cell] = vec
-    return PayoffTensor(sender=0, receivers=tuple(range(1, n_receivers + 1)), payoffs=payoffs)
+    return PayoffTensor(payoffs)
 
 
 def brute_force_nash(tensor):
@@ -174,11 +174,7 @@ def test_scale_covariance_of_equilibrium_set():
             cells[key] = tuple(rng.normal(size=n_receivers + 1))
         tensor = tensor_from_cells(cells)
         scale = float(rng.uniform(0.1, 10.0))
-        scaled = PayoffTensor(
-            sender=tensor.sender,
-            receivers=tensor.receivers,
-            payoffs=scale * tensor.payoffs,
-        )
+        scaled = PayoffTensor(scale * tensor.payoffs)
         assert find_pure_nash(tensor) == find_pure_nash(scaled)
 
 

@@ -19,6 +19,8 @@ from friendcast.harness import (
 )
 from friendcast.scenarios import scenario_config
 
+EXACT = 1e-12
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -128,9 +130,9 @@ def test_init_population_hits_tier_targets_exactly():
     )
     world = init_population(cfg, np.random.default_rng(0))
     per_actor = take_snapshot(world, 0).actor_mean_abs_value
-    assert np.allclose(per_actor[:3], 0.9)
-    assert np.allclose(per_actor[3:6], 0.1)
-    assert np.allclose(per_actor[6:], 0.5)
+    assert np.allclose(per_actor[:3], 0.9, atol=EXACT, rtol=0)
+    assert np.allclose(per_actor[3:6], 0.1, atol=EXACT, rtol=0)
+    assert np.allclose(per_actor[6:], 0.5, atol=EXACT, rtol=0)
     assert np.all(np.abs(world.belief) == 1.0)
     assert np.all(world.popularity == 0.0)
     off_diag = world.trust[~np.eye(cfg.n_actors, dtype=bool)]

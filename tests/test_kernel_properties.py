@@ -30,8 +30,7 @@ from friendcast.knowledge import Ontology
 from friendcast.transfer import BELIEF_WEIGHT_MODES, TransferParams, execute_session, play_star
 from friendcast.world import World
 
-from session_oracle import oracle_session
-from test_transfer_oracle import as_oracle_world
+from session_oracle import gap, replay
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -81,20 +80,6 @@ def games(draw):
     return world, sender, receivers, index, params
 
 
-def oracle_deltas(world, sender, receivers, index, profile, params):
-    mirror = as_oracle_world(world)
-    deltas = oracle_session(
-        mirror, sender, receivers, index, profile.send, profile.feedback,
-        dict(
-            remembrance=params.remembrance,
-            trust_history_weight=params.trust_history_weight,
-            popularity_decay=params.popularity_decay,
-            belief_weight_mode=params.belief_weight_mode,
-        ),
-    )
-    return [deltas[p] for p in (sender, *receivers)], mirror
-
-
 @PROPERTY
 @given(games())
 def test_every_cell_matches_the_oracle_and_the_played_session(game):
@@ -107,14 +92,13 @@ def test_every_cell_matches_the_oracle_and_the_played_session(game):
     outside = np.setdiff1d(np.arange(world.n_actors), [sender, *receivers])
     for profile in StrategyProfile.enumerate_canonical(len(receivers)):
         cell = tensor.payoff(profile)
-        expected, mirror = oracle_deltas(world, sender, receivers, index, profile, params)
-        assert max(abs(c - e) for c, e in zip(cell, expected)) <= TOL
+        expected, mirror = replay(world, sender, receivers, index, profile.send, profile.feedback, params)
+        assert max(abs(c - expected[p]) for c, p in zip(cell, (sender, *receivers))) <= TOL
 
         played = world.copy()
         outcome = execute_session(played, sender, receivers, index, profile, params)
         assert tuple(outcome.utility_deltas[p] for p in (sender, *receivers)) == cell
-        for key, mirrored in (("knowledge", "k"), ("belief", "b"), ("popularity", "pop"), ("trust", "trust")):
-            assert np.abs(getattr(played, key) - np.array(mirror[mirrored])).max() <= TOL
+        assert gap(played, mirror) <= TOL
         # A session writes trust only in the star's columns.
         assert np.array_equal(played.trust[:, outside], world.trust[:, outside])
         played.validate()
@@ -162,7 +146,7 @@ def test_committing_a_tensor_row_equals_playing_its_session(game, mode, remembra
     tensor = build_payoff_tensor(world, sender, receivers, index, params)
     chosen = select_profile(tensor)
     assert chosen.played == (tensor.star, _layout(len(receivers))[2][chosen.cell])
-    hand_built = PayoffTensor(tensor.sender, tensor.receivers, tensor.payoffs)
+    hand_built = PayoffTensor(tensor.payoffs)
     assert select_profile(hand_built) == chosen and select_profile(hand_built).played is None
     # Every feasible row, carried as select_profile carries the chosen one.
     rows = [chosen] + [

@@ -110,7 +110,7 @@ def test_forget_scales_values_linearly():
     for rate in (0.0, 0.25, 0.81, 1.0):
         before = _world(k, b)
         out = _forgotten(before.copy(), rate)
-        assert np.allclose(out.values(), rate * before.values(), atol=EXACT)
+        assert np.allclose(out.values(), rate * before.values(), atol=EXACT, rtol=0)
 
 
 def test_learn_worked_example():
@@ -168,7 +168,7 @@ def test_learn_axioms_randomized_100k():
     assert np.array_equal(k_id, kx)
     assert np.array_equal(b_id, bx)
     # full added knowledge absorbs
-    assert np.allclose(combined_knowledge(kx, np.ones(n)), 1.0, atol=EXACT)
+    assert np.allclose(combined_knowledge(kx, np.ones(n)), 1.0, atol=EXACT, rtol=0)
 
 
 def test_assertion_rejects_out_of_range():

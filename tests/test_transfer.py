@@ -1,7 +1,5 @@
 """Sessions on the World state: transfer, feedback, trust and popularity updates."""
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -17,8 +15,7 @@ from friendcast.transfer import (
 )
 from friendcast.world import World
 
-from session_oracle import oracle_session
-from test_transfer_oracle import as_oracle_world
+from session_oracle import replay
 
 EXACT = 1e-12
 
@@ -87,7 +84,7 @@ def test_apply_knowledge_transfer_absorption():
 def test_apply_knowledge_transfer_stubborn_receiver_keeps_knowledge():
     world = _pair(([0.9, 0.9], [1.0, 1.0]), ([0.4, 0.2], [0.1, -0.3]), trust=0.6, willingness=0.0)
     _send(world, 0, remembrance=1.0)
-    assert np.allclose(world.knowledge[1], [0.4, 0.2], atol=EXACT)
+    assert np.allclose(world.knowledge[1], [0.4, 0.2], atol=EXACT, rtol=0)
 
 
 def test_apply_knowledge_transfer_with_forgetting_worked_example():
@@ -208,9 +205,9 @@ def test_all_hold_session_only_forgets_and_decays():
     params = TransferParams(remembrance=0.81, popularity_decay=0.25)
     out = execute_session(world, 0, [1, 2], 0, StrategyProfile.all_hold(2), params)
     assert not out.sent and out.responders == ()
-    assert np.allclose(world.knowledge, np.sqrt(0.81) * before.knowledge, atol=EXACT)
-    assert np.allclose(world.belief, np.sqrt(0.81) * before.belief, atol=EXACT)
-    assert np.allclose(world.popularity, 0.75 * before.popularity, atol=EXACT)
+    assert np.allclose(world.knowledge, np.sqrt(0.81) * before.knowledge, atol=EXACT, rtol=0)
+    assert np.allclose(world.belief, np.sqrt(0.81) * before.belief, atol=EXACT, rtol=0)
+    assert np.allclose(world.popularity, 0.75 * before.popularity, atol=EXACT, rtol=0)
     assert np.array_equal(world.trust, before.trust)
 
 
@@ -228,11 +225,10 @@ def test_identity_session_is_a_no_op():
 def test_full_trust_send_matches_actor_level_transfer():
     world = _micro_world(trust=1.0, seed=3)
     params = TransferParams(remembrance=0.9)
-    mirror = as_oracle_world(world)
-    oracle_session(mirror, 0, [1], 1, True, (False,), asdict(params))
+    _, mirror = replay(world, 0, [1], 1, True, (False,), params)
     execute_session(world, 0, [1], 1, StrategyProfile(True, (False,)), params)
-    assert np.allclose(world.knowledge[1], mirror["k"][1], atol=EXACT)
-    assert np.allclose(world.belief[1], mirror["b"][1], atol=EXACT)
+    assert np.allclose(world.knowledge[1], mirror["k"][1], atol=EXACT, rtol=0)
+    assert np.allclose(world.belief[1], mirror["b"][1], atol=EXACT, rtol=0)
 
 
 def test_feedback_order_sensitivity_under_source_weighting():

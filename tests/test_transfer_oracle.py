@@ -7,7 +7,7 @@ from friendcast.knowledge import Ontology
 from friendcast.transfer import TransferParams, execute_session
 from friendcast.world import World
 
-from session_oracle import oracle_session
+from session_oracle import gap, replay
 
 TOL = 1e-12
 
@@ -47,41 +47,15 @@ def random_instance(rng):
     return world, params, sender, receivers, index, send, feedback
 
 
-def as_oracle_world(world):
-    return {
-        "k": [list(row) for row in world.knowledge],
-        "b": [list(row) for row in world.belief],
-        "pop": list(world.popularity),
-        "trust": [list(row) for row in world.trust],
-        "personality": [tuple(row) for row in world.personality],
-        "w": list(world.willingness),
-        "m": [list(row) for row in world.ontology.m],
-    }
-
-
 def test_session_matches_straight_line_oracle_1000_microworlds():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         world, params, sender, receivers, index, send, feedback = random_instance(rng)
-        mirror = as_oracle_world(world)
-
+        oracle_deltas, mirror = replay(world, sender, receivers, index, send, feedback, params)
         outcome = execute_session(
-            world, sender, receivers, index, StrategyProfile(send, feedback),
-            params,
-        )
-        oracle_deltas = oracle_session(
-            mirror, sender, receivers, index, send, feedback,
-            dict(
-                remembrance=params.remembrance,
-                trust_history_weight=params.trust_history_weight,
-                popularity_decay=params.popularity_decay,
-                belief_weight_mode=params.belief_weight_mode,
-            ),
+            world, sender, receivers, index, StrategyProfile(send, feedback), params,
         )
 
-        assert np.allclose(world.knowledge, np.array(mirror["k"]), atol=TOL)
-        assert np.allclose(world.belief, np.array(mirror["b"]), atol=TOL)
-        assert np.allclose(world.popularity, np.array(mirror["pop"]), atol=TOL)
-        assert np.allclose(world.trust, np.array(mirror["trust"]), atol=TOL)
+        assert gap(world, mirror) <= TOL
         for actor, delta in outcome.utility_deltas.items():
             assert abs(delta - oracle_deltas[actor]) <= TOL
