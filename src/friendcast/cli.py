@@ -123,7 +123,8 @@ def write_manifest(path: Path, scenario: str, cfg: ScenarioConfig, outputs: list
         handle.write("\n")
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str) -> tuple[dict, str]:
+    """The config a JSON file holds, and its run label: a manifest's scenario, else the file's stem."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -133,11 +134,14 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    if "config" in data and "tool_version" in data:
-        data = data["config"]  # a manifest written by an earlier run
+    label = Path(path).stem
+    if "config" in data and "tool_version" in data:  # a manifest written by an earlier run
+        data, label = data["config"], data.get("scenario", label)
         if not isinstance(data, dict):
             raise ConfigError(f'manifest {path} must hold a JSON object under "config"')
-    return data
+        if not isinstance(label, str):
+            raise ConfigError(f'manifest {path} must hold a string under "scenario"')
+    return data, label
 
 
 def resolve_config(args) -> tuple[str, ScenarioConfig]:
@@ -148,9 +152,10 @@ def resolve_config(args) -> tuple[str, ScenarioConfig]:
         base.update(scenario_config(args.scenario).to_dict())
         label = args.scenario
     if args.config:
-        base.update(load_config_file(args.config))
+        config, config_label = load_config_file(args.config)
+        base.update(config)
         if not args.scenario:
-            label = Path(args.config).stem
+            label = config_label
     for key, value in (("rng_seed", args.seed), ("n_steps", args.steps), ("snapshot_every", args.snapshot_every)):
         if value is not None:
             base[key] = value

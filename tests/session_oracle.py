@@ -1,14 +1,16 @@
-"""Straight-line, loop-based re-implementation of one broadcast session.
+"""Straight-line, loop-based re-implementation of one broadcast session and of its game.
 
 This is the independent oracle for the session protocol: plain Python
 floats and explicit loops, written directly from the update rules, sharing
 no code with the library's vectorized path. Tests compare the two on
 random micro-worlds, through the one bridge at the end of this module:
 `replay` plays a session on a mirror of a `World` and `gap` measures how
-far a played world is from that mirror.
+far a played world is from that mirror. `oracle_game` is the brute-force
+equilibrium search and selection rule on plain (send, *feedback) tuples.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -128,6 +130,36 @@ def oracle_session(w, sender, receivers, index, send, feedback, params):
 
     u_after = utilities(w, participants)
     return {p: u_after[i] - u_before[i] for i, p in enumerate(participants)}
+
+
+def oracle_game(cells):
+    """The pure equilibria, the selected profile, and whether the regret fallback chose it.
+
+    `cells` maps (send, *feedback) tuples to payoff vectors, one entry per
+    player; a profile that holds reads the all-hold vector whatever its
+    feedback. A profile is an equilibrium when no player gains by flipping
+    its own flag. Among equilibria the highest sender payoff wins, then the
+    least tuple (holding and silence first). With no equilibrium, the least
+    total regret wins, ties again to the least tuple.
+    """
+    n_players = len(next(iter(cells)))
+    hold = (False,) * n_players
+    feasible = [hold] + [(True, *fb) for fb in itertools.product((False, True), repeat=n_players - 1)]
+
+    def payoff(bits):
+        return cells[bits] if bits[0] else cells[hold]
+
+    def gains(bits):
+        own = payoff(bits)
+        return [payoff(bits[:i] + (not bits[i],) + bits[i + 1:])[i] - own[i] for i in range(n_players)]
+
+    equilibria = [bits for bits in feasible if all(g <= 0.0 for g in gains(bits))]
+    if equilibria:
+        best = max(payoff(bits)[0] for bits in equilibria)
+        return equilibria, min(bits for bits in equilibria if payoff(bits)[0] == best), False
+    regret = {bits: sum(max(0.0, g) for g in gains(bits)) for bits in feasible}
+    least = min(regret.values())
+    return equilibria, min(bits for bits in feasible if regret[bits] == least), True
 
 
 def as_oracle_world(world):

@@ -1,5 +1,6 @@
 """Payoff tensor, equilibrium enumeration, and profile selection."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,41 +14,10 @@ from friendcast.game import (
     find_pure_nash,
     select_profile,
 )
-from friendcast.knowledge import Ontology
 from friendcast.transfer import TransferParams, execute_session
-from friendcast.world import World
 
-
-def tensor_from_cells(cells):
-    """Build a tensor from {(send, feedback...): payoff vector} with collapse."""
-    n_receivers = len(next(iter(cells))) - 1
-    hold = cells[(False,) + (False,) * n_receivers]
-    payoffs = np.array([hold] * (2 << n_receivers), dtype=float)
-    for key, vec in cells.items():
-        if key[0]:
-            payoffs[StrategyProfile(key[0], tuple(key[1:])).cell] = vec
-    return PayoffTensor(payoffs)
-
-
-def brute_force_nash(tensor):
-    """Oracle: exhaustive unilateral-deviation check over canonical profiles."""
-    result = []
-    for profile in StrategyProfile.enumerate_canonical(tensor.n_receivers):
-        own = tensor.payoff(profile)
-        ok = True
-        for player in range(tensor.n_receivers + 1):
-            for alternative in (False, True):
-                if player == 0:
-                    other = StrategyProfile(alternative, profile.feedback)
-                else:
-                    fb = list(profile.feedback)
-                    fb[player - 1] = alternative
-                    other = StrategyProfile(profile.send, tuple(fb))
-                if tensor.payoff(other)[player] > own[player]:
-                    ok = False
-        if ok:
-            result.append(profile)
-    return result
+from session_oracle import oracle_game
+from worlds import make_world, random_session, tensor_from_cells
 
 
 def test_all_zero_payoffs_make_every_profile_an_equilibrium():
@@ -154,17 +124,6 @@ def test_selection_never_returns_infeasible_profiles():
         assert chosen.send or not any(chosen.feedback)
 
 
-def test_find_pure_nash_matches_brute_force_on_random_tensors():
-    rng = np.random.default_rng(22)
-    for _ in range(1000):
-        n_receivers = int(rng.integers(1, 4))
-        cells = {}
-        for key in itertools.product((False, True), repeat=n_receivers + 1):
-            cells[key] = tuple(rng.integers(-3, 4, size=n_receivers + 1).astype(float))
-        tensor = tensor_from_cells(cells)
-        assert find_pure_nash(tensor) == brute_force_nash(tensor)
-
-
 def test_scale_covariance_of_equilibrium_set():
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -205,37 +164,6 @@ def test_payoff_rejects_a_profile_of_another_size():
             tensor.payoff(profile)
 
 
-def brute_force_selection(cells, n_receivers):
-    """Oracle: the selection rule over (send, *feedback) tuples, without cells."""
-    hold = (False,) * (n_receivers + 1)
-    feasible = [hold] + [
-        (True, *fb) for fb in itertools.product((False, True), repeat=n_receivers)
-    ]
-
-    def payoff(bits):
-        return cells[bits] if bits[0] else cells[hold]
-
-    def gains(bits):
-        own = payoff(bits)
-        return [
-            payoff(bits[:i] + (not bits[i],) + bits[i + 1:])[i] - own[i]
-            for i in range(n_receivers + 1)
-        ]
-
-    equilibria = [bits for bits in feasible if all(g <= 0.0 for g in gains(bits))]
-    if equilibria:
-        best = max(payoff(bits)[0] for bits in equilibria)
-        return min(bits for bits in equilibria if payoff(bits)[0] == best), False
-    regret = {}
-    for bits in feasible:
-        total = 0.0
-        for g in gains(bits):
-            total += max(0.0, g)
-        regret[bits] = total
-    least = min(regret.values())
-    return min(bits for bits in feasible if regret[bits] == least), True
-
-
 def test_select_profile_matches_brute_force_selection():
     # small integer payoffs give frequent ties and games with no pure equilibrium
     rng = np.random.default_rng(27)
@@ -246,8 +174,10 @@ def test_select_profile_matches_brute_force_selection():
             key: tuple(rng.integers(-2, 3, size=n_receivers + 1).astype(float))
             for key in itertools.product((False, True), repeat=n_receivers + 1)
         }
-        chosen = select_profile(tensor_from_cells(cells))
-        expected, fallback = brute_force_selection(cells, n_receivers)
+        tensor = tensor_from_cells(cells)
+        equilibria, expected, fallback = oracle_game(cells)
+        assert [(e.send, *e.feedback) for e in find_pure_nash(tensor)] == equilibria
+        chosen = select_profile(tensor)
         assert (chosen.send, *chosen.feedback) == expected
         fallbacks += fallback
     assert 0 < fallbacks < 1000
@@ -256,47 +186,10 @@ def test_select_profile_matches_brute_force_selection():
 # --- tensors built from worlds ---------------------------------------------
 
 
-def random_world(rng, n, a_count):
-    trust = rng.uniform(0, 1, (n, n))
-    np.fill_diagonal(trust, 1.0)
-    if rng.integers(2):
-        ontology = Ontology.identity(a_count)
-    else:
-        m = rng.uniform(-1, 1, (a_count, a_count))
-        np.fill_diagonal(m, 1.0)
-        ontology = Ontology(m)
-    return World(
-        knowledge=rng.uniform(0.05, 1, (n, a_count)),
-        belief=rng.uniform(-1, 1, (n, a_count)),
-        popularity=rng.uniform(0, 1, n),
-        trust=trust,
-        personality=rng.dirichlet([1, 1, 1], n),
-        willingness=rng.uniform(0, 1, n),
-        ontology=ontology,
-    )
-
-
-def random_game(rng, max_receivers=3):
-    n = int(rng.integers(2, 5))
-    a_count = int(rng.integers(1, 4))
-    world = random_world(rng, n, a_count)
-    params = TransferParams(
-        remembrance=rng.uniform(0.8, 1.0),
-        trust_history_weight=rng.uniform(0, 1),
-        popularity_decay=rng.uniform(0, 1),
-    )
-    sender = int(rng.integers(n))
-    others = [x for x in range(n) if x != sender]
-    n_recv = int(rng.integers(1, min(max_receivers, len(others)) + 1))
-    receivers = [int(r) for r in rng.choice(others, size=n_recv, replace=False)]
-    index = int(rng.integers(a_count))
-    return world, sender, receivers, index, params
-
-
 def test_tensor_matches_per_profile_sessions_exactly():
     rng = np.random.default_rng(24)
     for _ in range(50):
-        world, sender, receivers, index, params = random_game(rng)
+        world, params, sender, receivers, index, _, _ = random_session(rng)
         tensor = build_payoff_tensor(world, sender, receivers, index, params)
         for profile in StrategyProfile.enumerate_canonical(len(receivers)):
             scratch = world.copy()
@@ -307,7 +200,7 @@ def test_tensor_matches_per_profile_sessions_exactly():
 
 def test_tensor_construction_is_deterministic_and_leaves_world_alone():
     rng = np.random.default_rng(25)
-    world, sender, receivers, index, params = random_game(rng)
+    world, params, sender, receivers, index, _, _ = random_session(rng)
     snapshot = world.copy()
     t1 = build_payoff_tensor(world, sender, receivers, index, params)
     t2 = build_payoff_tensor(world, sender, receivers, index, params)
@@ -329,7 +222,8 @@ def test_tensor_construction_is_deterministic_and_leaves_world_alone():
     (0, [1], 2, "assertion index"),
 ])
 def test_an_invalid_star_is_rejected_before_it_is_played(sender, receivers, index, problem):
-    world = random_world(np.random.default_rng(26), 4, 2)
+    rng = np.random.default_rng(26)
+    world = make_world(rng.uniform(0, 1, (4, 2)), rng.uniform(-1, 1, (4, 2)), popularity=rng.uniform(0, 1, 4))
     before = world.copy()
     with pytest.raises(ValueError, match=problem):
         build_payoff_tensor(world, sender, receivers, index, TransferParams())
@@ -344,15 +238,8 @@ def test_an_invalid_star_is_rejected_before_it_is_played(sender, receivers, inde
 def test_hold_is_costly_when_popularity_decays():
     # a sender with saturated popularity and a popularity-loving personality
     # strictly prefers sending even when the receiver learns nothing new
-    world = World(
-        knowledge=np.array([[1.0], [1.0]]),
-        belief=np.array([[1.0], [1.0]]),
-        popularity=np.array([0.9, 0.1]),
-        trust=np.array([[1.0, 0.6], [0.6, 1.0]]),
-        personality=np.tile([0.1, 0.1, 0.8], (2, 1)),
-        willingness=np.ones(2),
-        ontology=Ontology.identity(1),
-    )
+    world = make_world([[1.0], [1.0]], [[1.0], [1.0]], trust=0.6, popularity=[0.9, 0.1],
+                       personality=(0.1, 0.1, 0.8))
     params = TransferParams(popularity_decay=0.05)
     tensor = build_payoff_tensor(world, 0, [1], 0, params)
     hold = tensor.payoff(StrategyProfile.all_hold(1))
@@ -365,12 +252,16 @@ def test_hold_is_costly_when_popularity_decays():
 def test_sender_purity_rate_on_random_instances():
     # over many randomized desk-scale games, every pure equilibrium of one
     # tensor shares the same sender action; violations are counted and the
-    # suite insists on a zero rate
+    # suite insists on a zero rate. This holds under "transferred" weighting,
+    # where a comment cannot move the sender's utility, so the sender's
+    # choice does not depend on the receivers'; under "source" weighting
+    # some games have equilibria with both sender actions.
     rng = np.random.default_rng(26)
     violations = 0
     checked = 0
     for _ in range(1000):
-        world, sender, receivers, index, params = random_game(rng)
+        world, params, sender, receivers, index, _, _ = random_session(rng)
+        params = dataclasses.replace(params, belief_weight_mode="transferred")
         tensor = build_payoff_tensor(world, sender, receivers, index, params)
         equilibria = find_pure_nash(tensor)
         if not equilibria:

@@ -24,9 +24,9 @@ import pytest
 
 from friendcast.cli import main
 from friendcast.game import StrategyProfile, build_payoff_tensor
-from friendcast.knowledge import Ontology
 from friendcast.transfer import TransferParams, execute_session
-from friendcast.world import World
+
+from worlds import make_world
 
 # Off-diagonal entries of +-1 and of both signs, so that correlated
 # beliefs move in both directions and saturate.
@@ -144,14 +144,14 @@ def session_hash(games=400):
         np.fill_diagonal(trust, 1.0)
         m = np.eye(a_count) if game % 3 == 0 else rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], (a_count, a_count))
         np.fill_diagonal(m, 1.0)
-        world = World(
+        world = make_world(
             knowledge=rng.uniform(0, 1, (n, a_count)),
             belief=rng.uniform(-1, 1, (n, a_count)),
             popularity=rng.uniform(0, 1, n),
             trust=trust,
             personality=rng.dirichlet([1, 1, 1], n),
             willingness=rng.choice([0.0, 1.0, rng.uniform()], n),
-            ontology=Ontology(m),
+            ontology=m,
         )
         params = TransferParams(
             remembrance=float(rng.choice([0.0, 1.0, rng.uniform(0.9, 1.0)])),

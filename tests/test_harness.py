@@ -19,7 +19,7 @@ from friendcast.harness import (
 )
 from friendcast.scenarios import scenario_config
 
-EXACT = 1e-12
+from worlds import EXACT
 
 
 def tiny_config(**overrides):
@@ -43,6 +43,10 @@ def test_config_validation_catches_bad_values():
         tiny_config(n_receivers=8).validate()  # >= n_actors
     with pytest.raises(ConfigError):
         tiny_config(popularity_weight=0.5).validate()  # weights sum != 1
+    with pytest.raises(ConfigError, match="not a rate"):
+        tiny_config(knowledge_weight=-0.1, reputation_weight=0.6, popularity_weight=0.5).validate()
+    with pytest.raises(ConfigError, match="two actors"):
+        tiny_config(n_actors=1).validate()
     with pytest.raises(ConfigError):
         tiny_config(knowledge_tiers=[[0.5, 0.9]]).validate()  # fractions != 1
     with pytest.raises(ConfigError):

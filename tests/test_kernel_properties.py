@@ -28,11 +28,10 @@ import pytest
 from friendcast.game import PayoffTensor, StrategyProfile, _layout, build_payoff_tensor, select_profile
 from friendcast.knowledge import Ontology
 from friendcast.transfer import BELIEF_WEIGHT_MODES, TransferParams, execute_session, play_star
-from friendcast.world import World
 
 from session_oracle import gap, replay
+from worlds import EXACT, make_world
 
-TOL = 1e-12
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -53,13 +52,12 @@ def games(draw):
     trust = matrix(n, n, unit())
     np.fill_diagonal(trust, 1.0)
     if draw(st.booleans()):
-        ontology = Ontology.identity(a_count)
+        ontology = None
     else:
-        m = matrix(a_count, a_count, unit(-1.0))
-        np.fill_diagonal(m, 1.0)
-        ontology = Ontology(m)
+        ontology = matrix(a_count, a_count, unit(-1.0))
+        np.fill_diagonal(ontology, 1.0)
     weights = matrix(n, 3, st.floats(0.0, 1.0)) + 1e-3
-    world = World(
+    world = make_world(
         knowledge=matrix(n, a_count, unit()),
         belief=matrix(n, a_count, unit(-1.0)),
         popularity=matrix(n, 1, unit())[:, 0],
@@ -93,12 +91,12 @@ def test_every_cell_matches_the_oracle_and_the_played_session(game):
     for profile in StrategyProfile.enumerate_canonical(len(receivers)):
         cell = tensor.payoff(profile)
         expected, mirror = replay(world, sender, receivers, index, profile.send, profile.feedback, params)
-        assert max(abs(c - expected[p]) for c, p in zip(cell, (sender, *receivers))) <= TOL
+        assert max(abs(c - expected[p]) for c, p in zip(cell, (sender, *receivers))) <= EXACT
 
         played = world.copy()
         outcome = execute_session(played, sender, receivers, index, profile, params)
         assert tuple(outcome.utility_deltas[p] for p in (sender, *receivers)) == cell
-        assert gap(played, mirror) <= TOL
+        assert gap(played, mirror) <= EXACT
         # A session writes trust only in the star's columns.
         assert np.array_equal(played.trust[:, outside], world.trust[:, outside])
         played.validate()
@@ -168,15 +166,8 @@ def test_committing_a_tensor_row_equals_playing_its_session(game, mode, remembra
 
 def disagreeing_world():
     """Three reputation-driven actors; the sender disbelieves what both others believe."""
-    return World(
-        knowledge=np.array([[1.0, 0.5], [0.5, 0.5], [0.5, 0.5]]),
-        belief=np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]]),
-        popularity=np.zeros(3),
-        trust=np.full((3, 3), 0.5) + 0.5 * np.eye(3),
-        personality=np.tile([0.0, 1.0, 0.0], (3, 1)),
-        willingness=np.ones(3),
-        ontology=Ontology.identity(2),
-    )
+    return make_world([[1.0, 0.5], [0.5, 0.5], [0.5, 0.5]], [[1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]],
+                      personality=(0.0, 1.0, 0.0))
 
 
 def test_a_hold_chosen_beside_a_feasible_send_leaves_trust_alone():
@@ -228,18 +219,18 @@ def test_relabelling_the_actors_keeps_the_tensor(game, data):
     world, sender, receivers, index, params = game
     label = np.array(data.draw(st.permutations(range(world.n_actors))))  # actor i becomes label[i]
     order = np.argsort(label)
-    relabelled = World(
-        knowledge=world.knowledge[order],
-        belief=world.belief[order],
-        popularity=world.popularity[order],
+    relabelled = make_world(
+        world.knowledge[order],
+        world.belief[order],
         trust=world.trust[np.ix_(order, order)],
+        popularity=world.popularity[order],
         personality=world.personality[order],
         willingness=world.willingness[order],
-        ontology=world.ontology,
+        ontology=world.ontology.m,
     )
     tensor = build_payoff_tensor(world, sender, receivers, index, params)
     moved = build_payoff_tensor(relabelled, label[sender], label[receivers], index, params)
-    assert np.abs(moved.payoffs - tensor.payoffs).max() <= TOL
+    assert np.abs(moved.payoffs - tensor.payoffs).max() <= EXACT
 
 
 @PROPERTY
@@ -256,7 +247,7 @@ def test_relabelling_the_assertions_keeps_the_tensor(game, data):
     )
     tensor = build_payoff_tensor(world, sender, receivers, index, params)
     moved = build_payoff_tensor(relabelled, sender, receivers, int(label[index]), params)
-    assert np.abs(moved.payoffs - tensor.payoffs).max() <= TOL
+    assert np.abs(moved.payoffs - tensor.payoffs).max() <= EXACT
 
 
 @PROPERTY

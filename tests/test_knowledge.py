@@ -13,26 +13,8 @@ from friendcast.knowledge import (
     combined_knowledge,
 )
 from friendcast.transfer import TransferParams, execute_session
-from friendcast.world import World
 
-EXACT = 1e-12
-
-
-def _world(knowledge, belief):
-    """One actor per row of the given (k, b) tables, trusting each other at 0.5."""
-    knowledge = np.array(knowledge, dtype=float)
-    n, a_count = knowledge.shape
-    trust = np.full((n, n), 0.5)
-    np.fill_diagonal(trust, 1.0)
-    return World(
-        knowledge=knowledge,
-        belief=np.array(belief, dtype=float),
-        popularity=np.zeros(n),
-        trust=trust,
-        personality=np.tile([0.2, 0.7, 0.1], (n, 1)),
-        willingness=np.ones(n),
-        ontology=Ontology.identity(a_count),
-    )
+from worlds import EXACT, make_world
 
 
 def _average_knowledge(world):
@@ -55,17 +37,17 @@ def _forgotten(world, remembrance):
 
 
 def test_assertion_value_examples():
-    values = _world([[0.3], [0.0], [1.0]], [[-0.9], [0.7], [1.0]]).values()[:, 0]
+    values = make_world([[0.3], [0.0], [1.0]], [[-0.9], [0.7], [1.0]]).values()[:, 0]
     assert values[0] == pytest.approx(-0.27, abs=EXACT)
     assert values[1] == 0.0 and values[2] == 1.0
 
 
 def test_average_knowledge_examples():
-    full = _world([[1.0, 1.0, 1.0]] * 2, [[1.0, 1.0, 1.0]] * 2)
+    full = make_world([[1.0, 1.0, 1.0]] * 2, [[1.0, 1.0, 1.0]] * 2)
     assert _average_knowledge(full)[0] == 1.0
-    no_belief = _world([[0.2, 0.9]] * 2, [[0.0, 0.0]] * 2)
+    no_belief = make_world([[0.2, 0.9]] * 2, [[0.0, 0.0]] * 2)
     assert _average_knowledge(no_belief)[0] == 0.0
-    mixed = _world([[0.3, 0.5]] * 2, [[-0.9, 1.0]] * 2)
+    mixed = make_world([[0.3, 0.5]] * 2, [[-0.9, 1.0]] * 2)
     assert _average_knowledge(mixed)[0] == pytest.approx(0.385, abs=EXACT)
 
 
@@ -79,18 +61,18 @@ def test_average_knowledge_permutation_invariant():
     k = rng.uniform(0, 1, 12)
     b = rng.uniform(-1, 1, 12)
     perms = [np.arange(12)] + [rng.permutation(12) for _ in range(5)]
-    world = _world([k[p] for p in perms], [b[p] for p in perms])
+    world = make_world([k[p] for p in perms], [b[p] for p in perms])
     averages = _average_knowledge(world)
     assert averages[1:] == pytest.approx(np.full(5, averages[0]), abs=EXACT)
 
 
 def test_forget_examples():
     k, b = [[1.0, 0.4], [0.3, 0.6]], [[-1.0, 0.5], [0.2, -0.7]]
-    kept = _forgotten(_world(k, b), 1.0)
+    kept = _forgotten(make_world(k, b), 1.0)
     assert np.array_equal(kept.knowledge, k) and np.array_equal(kept.belief, b)
-    gone = _forgotten(_world(k, b), 0.0)
+    gone = _forgotten(make_world(k, b), 0.0)
     assert np.all(gone.knowledge == 0.0) and np.all(gone.belief == 0.0)
-    scaled = _forgotten(_world([[1.0], [0.5]], [[-1.0], [0.5]]), 0.81)
+    scaled = _forgotten(make_world([[1.0], [0.5]], [[-1.0], [0.5]]), 0.81)
     assert scaled.knowledge[0, 0] == pytest.approx(0.9, abs=EXACT)
     assert scaled.belief[0, 0] == pytest.approx(-0.9, abs=EXACT)
 
@@ -108,7 +90,7 @@ def test_forget_scales_values_linearly():
     rng = np.random.default_rng(1)
     k, b = rng.uniform(0, 1, (2, 50)), rng.uniform(-1, 1, (2, 50))
     for rate in (0.0, 0.25, 0.81, 1.0):
-        before = _world(k, b)
+        before = make_world(k, b)
         out = _forgotten(before.copy(), rate)
         assert np.allclose(out.values(), rate * before.values(), atol=EXACT, rtol=0)
 
@@ -178,8 +160,8 @@ def test_assertion_rejects_out_of_range():
     with pytest.raises(DriftError):
         clamped_array(np.array([-1.1]), -1.0, 1.0)
     # drift-sized excursions are absorbed onto the bound, scalars included
-    assert clamped_array(np.array([1.0 + 1e-12]), 0.0, 1.0)[0] == 1.0
-    assert clamped_array(np.float64(-1.0 - 1e-12), -1.0, 1.0) == -1.0
+    assert clamped_array(np.array([1.0 + EXACT]), 0.0, 1.0)[0] == 1.0
+    assert clamped_array(np.float64(-1.0 - EXACT), -1.0, 1.0) == -1.0
 
 
 def test_clamped_array_guards_drift():

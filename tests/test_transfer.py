@@ -6,34 +6,16 @@ import pytest
 from friendcast import knowledge
 from friendcast.game import StrategyProfile
 from friendcast.harness import ConfigError, ScenarioConfig
-from friendcast.knowledge import Ontology, combined_belief, combined_knowledge
+from friendcast.knowledge import combined_belief, combined_knowledge
 from friendcast.transfer import (
     BELIEF_WEIGHT_MODES,
     TransferParams,
     execute_session,
     trust_update,
 )
-from friendcast.world import World
 
 from session_oracle import replay
-
-EXACT = 1e-12
-
-
-def _pair(sender, receiver, trust=1.0, ontology=None, willingness=1.0, popularity=0.0):
-    """Actor 0 sends to actor 1; each is given as its (k, b) rows, trusting the other at `trust`."""
-    knowledge = np.array([sender[0], receiver[0]], dtype=float)
-    m = np.full((2, 2), float(trust))
-    np.fill_diagonal(m, 1.0)
-    return World(
-        knowledge=knowledge,
-        belief=np.array([sender[1], receiver[1]], dtype=float),
-        popularity=np.array([popularity, 0.0]),
-        trust=m,
-        personality=np.tile([0.2, 0.7, 0.1], (2, 1)),
-        willingness=np.array([1.0, willingness]),
-        ontology=ontology or Ontology.identity(knowledge.shape[1]),
-    )
+from worlds import EXACT, make_world, random_session
 
 
 def _send(world, index, comment=False, **params):
@@ -44,7 +26,7 @@ def _send(world, index, comment=False, **params):
 
 def test_perceived_delta_off_index_identity_ontology_is_zero():
     for mode in BELIEF_WEIGHT_MODES:
-        world = _pair(([0.8, 0.1], [0.6, 0.2]), ([0.5, 0.5], [0.3, -0.4]), trust=0.7)
+        world = make_world([[0.8, 0.1], [0.5, 0.5]], [[0.6, 0.2], [0.3, -0.4]], trust=0.7)
         _send(world, 0, belief_weight_mode=mode)
         assert world.knowledge[1, 1] == 0.5 and world.belief[1, 1] == -0.4
 
@@ -52,7 +34,7 @@ def test_perceived_delta_off_index_identity_ontology_is_zero():
 def test_perceived_delta_full_trust_reproduces_sender_tuple():
     # a fully trusting receiver learns exactly the sender's tuple
     sent_k, sent_b = 0.8, 0.6
-    world = _pair(([0.3, sent_k], [0.0, sent_b]), ([0.2, 0.9], [-0.8, 0.1]), trust=1.0)
+    world = make_world([[0.3, sent_k], [0.2, 0.9]], [[0.0, sent_b], [-0.8, 0.1]], trust=1.0)
     _send(world, 1)
     assert world.knowledge[1, 1] == pytest.approx(combined_knowledge(0.9, sent_k), abs=EXACT)
     assert world.belief[1, 1] == pytest.approx(combined_belief(0.1, sent_b, sent_k), abs=EXACT)
@@ -64,7 +46,7 @@ def test_perceived_delta_zero_trust_uses_self_assessment():
     a_count = 4
     beliefs = [0.0] * a_count
     beliefs[2] = 0.5
-    world = _pair(([0.8] * a_count, [-0.6] * a_count), ([0.3] * a_count, beliefs), trust=0.0)
+    world = make_world([[0.8] * a_count, [0.3] * a_count], [[-0.6] * a_count, beliefs], trust=0.0)
     _send(world, 2)
     expected_guess = sum(
         (1.0 if kk == 2 else 0.0) * beliefs[kk] for kk in range(a_count)
@@ -75,14 +57,14 @@ def test_perceived_delta_zero_trust_uses_self_assessment():
 
 
 def test_apply_knowledge_transfer_absorption():
-    world = _pair(([1.0, 0.3], [1.0, -0.5]), ([0.0, 0.0], [0.0, 0.0]), trust=1.0)
+    world = make_world([[1.0, 0.3], [0.0, 0.0]], [[1.0, -0.5], [0.0, 0.0]], trust=1.0)
     _send(world, 0, remembrance=1.0)
     assert world.knowledge[1, 0] == 1.0 and world.belief[1, 0] == pytest.approx(1.0, abs=EXACT)
     assert world.knowledge[1, 1] == 0.0 and world.belief[1, 1] == 0.0  # untouched off-index
 
 
 def test_apply_knowledge_transfer_stubborn_receiver_keeps_knowledge():
-    world = _pair(([0.9, 0.9], [1.0, 1.0]), ([0.4, 0.2], [0.1, -0.3]), trust=0.6, willingness=0.0)
+    world = make_world([[0.9, 0.9], [0.4, 0.2]], [[1.0, 1.0], [0.1, -0.3]], trust=0.6, willingness=[1.0, 0.0])
     _send(world, 0, remembrance=1.0)
     assert np.allclose(world.knowledge[1], [0.4, 0.2], atol=EXACT, rtol=0)
 
@@ -91,18 +73,16 @@ def test_apply_knowledge_transfer_with_forgetting_worked_example():
     # receiver {0.5, 0} degrades to {0.45, 0}; the sender's {5/9, 8/9}
     # degrades to {0.5, 0.8}, which the fully trusting receiver combines
     # to {0.725, 0.4}
-    world = _pair(([0.5 / 0.9], [0.8 / 0.9]), ([0.5], [0.0]), trust=1.0)
+    world = make_world([[0.5 / 0.9], [0.5]], [[0.8 / 0.9], [0.0]], trust=1.0)
     _send(world, 0, remembrance=0.81)
     assert world.knowledge[1, 0] == pytest.approx(0.725, abs=EXACT)
     assert world.belief[1, 0] == pytest.approx(0.4, abs=EXACT)
 
 
 def test_apply_feedback_transfer_zero_trust_changes_nothing():
-    m = np.full((2, 2), 0.5)
-    np.fill_diagonal(m, 1.0)
     for mode in BELIEF_WEIGHT_MODES:
-        world = _pair(([0.6, 0.4], [0.2, -0.1]), ([0.9, 0.9], [-1.0, 1.0]), trust=0.0,
-                      ontology=Ontology(m))
+        world = make_world([[0.6, 0.4], [0.9, 0.9]], [[0.2, -0.1], [-1.0, 1.0]], trust=0.0,
+                           ontology=[[1.0, 0.5], [0.5, 1.0]])
         _send(world, 0, comment=True, belief_weight_mode=mode)
         assert np.array_equal(world.knowledge[0], [0.6, 0.4])
         assert np.array_equal(world.belief[0], [0.2, -0.1])
@@ -110,7 +90,7 @@ def test_apply_feedback_transfer_zero_trust_changes_nothing():
 
 def test_apply_feedback_transfer_off_index_identity_ontology_unchanged():
     for mode in BELIEF_WEIGHT_MODES:
-        world = _pair(([0.6, 0.4], [0.2, -0.1]), ([0.9, 0.9], [-1.0, 1.0]), trust=1.0)
+        world = make_world([[0.6, 0.4], [0.9, 0.9]], [[0.2, -0.1], [-1.0, 1.0]], trust=1.0)
         _send(world, 0, comment=True, belief_weight_mode=mode)
         assert world.knowledge[0, 1] == 0.4 and world.belief[0, 1] == -0.1
 
@@ -118,13 +98,13 @@ def test_apply_feedback_transfer_off_index_identity_ontology_unchanged():
 def test_apply_feedback_transfer_literal_weighting_nullifies_belief():
     # the comment carries zero knowledge, so the zero-weighted learning
     # operator leaves the sender's belief untouched under literal weighting
-    world = _pair(([0.6], [0.2]), ([1.0], [-1.0]), trust=1.0)
+    world = make_world([[0.6], [1.0]], [[0.2], [-1.0]], trust=1.0)
     _send(world, 0, comment=True)
     assert world.knowledge[0, 0] == 0.6 and world.belief[0, 0] == 0.2
 
 
 def test_apply_feedback_transfer_source_weighting_moves_belief():
-    world = _pair(([0.6], [0.2]), ([1.0], [-1.0]), trust=1.0)
+    world = make_world([[0.6], [1.0]], [[0.2], [-1.0]], trust=1.0)
     _send(world, 0, comment=True, belief_weight_mode="source")
     assert world.knowledge[0, 0] == 0.6  # knowledge still untouched
     assert world.belief[0, 0] == pytest.approx(0.2 + 1.0 * (-1.0) * (1 + 0.2), abs=EXACT)
@@ -132,18 +112,18 @@ def test_apply_feedback_transfer_source_weighting_moves_belief():
 
 def test_popularity_update_examples():
     # a receiver the send leaves unchanged adds nothing to the sender
-    unmoved = _pair(([0.9], [0.8]), ([0.5], [0.4]), willingness=0.0, popularity=0.37)
+    unmoved = make_world([[0.9], [0.5]], [[0.8], [0.4]], trust=1.0, popularity=[0.37, 0.0], willingness=[1.0, 0.0])
     _send(unmoved, 0)
     assert unmoved.knowledge[1, 0] == 0.5 and unmoved.belief[1, 0] == 0.4
     assert unmoved.popularity[0] == pytest.approx(0.37, abs=EXACT)
 
-    jumped = _pair(([1.0], [1.0]), ([0.0], [0.0]))
+    jumped = make_world([[1.0], [0.0]], [[1.0], [0.0]], trust=1.0)
     _send(jumped, 0)
     assert jumped.values()[1, 0] == pytest.approx(1.0, abs=EXACT)
     assert jumped.popularity[0] == pytest.approx(1.0, abs=EXACT)
 
     # a quarter of the sender's knowledge lifts the receiver from 0.2 to 0.4
-    grown = _pair(([0.25], [1.0]), ([0.2], [1.0]), popularity=0.5)
+    grown = make_world([[0.25], [0.2]], [[1.0], [1.0]], trust=1.0, popularity=[0.5, 0.0])
     _send(grown, 0)
     assert grown.values()[1, 0] == pytest.approx(0.4, abs=EXACT)
     assert grown.popularity[0] == pytest.approx(0.6, abs=EXACT)
@@ -151,14 +131,14 @@ def test_popularity_update_examples():
 
 def test_popularity_update_clamps_large_swings():
     # the receiver's value flips from +1 to -1: a change of 2, clamped to 1
-    world = _pair(([1.0], [-1.0]), ([1.0], [1.0]))
+    world = make_world([[1.0], [1.0]], [[-1.0], [1.0]], trust=1.0)
     _send(world, 0)
     assert world.values()[1, 0] == pytest.approx(-1.0, abs=EXACT)
     assert world.popularity[0] == 1.0
 
 
 def test_popularity_update_requires_receivers():
-    world = _pair(([0.5], [0.5]), ([0.5], [0.5]))
+    world = make_world([[0.5]] * 2, [[0.5]] * 2, trust=1.0)
     for profile in (StrategyProfile(True, ()), StrategyProfile.all_hold(0)):
         with pytest.raises(ValueError):
             execute_session(world, 0, [], 0, profile, TransferParams())
@@ -185,18 +165,10 @@ def test_trust_update_stays_in_range():
 
 
 def _micro_world(n=3, a_count=2, trust=0.5, seed=0):
+    """n actors whose knowledge, belief and popularity are drawn from `seed`."""
     rng = np.random.default_rng(seed)
-    trust_m = np.full((n, n), trust)
-    np.fill_diagonal(trust_m, 1.0)
-    return World(
-        knowledge=rng.uniform(0, 1, (n, a_count)),
-        belief=rng.uniform(-1, 1, (n, a_count)),
-        popularity=rng.uniform(0, 1, n),
-        trust=trust_m,
-        personality=np.tile([0.2, 0.7, 0.1], (n, 1)),
-        willingness=np.ones(n),
-        ontology=Ontology.identity(a_count),
-    )
+    return make_world(rng.uniform(0, 1, (n, a_count)), rng.uniform(-1, 1, (n, a_count)), trust,
+                      rng.uniform(0, 1, n))
 
 
 def test_all_hold_session_only_forgets_and_decays():
@@ -259,15 +231,7 @@ def test_comment_carries_the_responders_post_forget_tuple():
     trust = np.full((3, 3), 0.5)
     np.fill_diagonal(trust, 1.0)
     trust[1, 0] = 1.0  # the responder fully trusts the sender
-    world = World(
-        knowledge=np.array([[1.0], [0.5], [0.3]]),
-        belief=np.array([[0.5], [-0.2], [0.9]]),
-        popularity=np.zeros(3),
-        trust=trust,
-        personality=np.tile([0.2, 0.7, 0.1], (3, 1)),
-        willingness=np.ones(3),
-        ontology=Ontology.identity(1),
-    )
+    world = make_world([[1.0], [0.5], [0.3]], [[0.5], [-0.2], [0.9]], trust=trust)
     params = TransferParams(belief_weight_mode="source")
     execute_session(world, 0, [1], 0, StrategyProfile(True, (True,)), params)
     assert world.knowledge[1, 0] == pytest.approx(1.0, abs=EXACT)
@@ -331,13 +295,9 @@ def test_perceived_belief_magnitude_is_bounded(monkeypatch):
         index = int(rng.integers(a_count))
         sender_k = rng.uniform(0, 1, a_count)
         sender_k[index] = 1.0
-        world = _pair(
-            (sender_k, rng.uniform(-1, 1, a_count)),
-            (rng.uniform(0, 1, a_count), rng.uniform(-1, 1, a_count)),
-            trust=rng.uniform(0, 1),
-            ontology=Ontology(m),
-            willingness=1.0,
-        )
+        sender_b, receiver_k, receiver_b = (rng.uniform(-1, 1, a_count), rng.uniform(0, 1, a_count),
+                                            rng.uniform(-1, 1, a_count))
+        world = make_world([sender_k, receiver_k], [sender_b, receiver_b], trust=rng.uniform(0, 1), ontology=m)
         _send(world, index, belief_weight_mode="source")
         world.validate()
         assert np.abs(world.belief[1]).max() <= 1.0 + EXACT
@@ -345,7 +305,7 @@ def test_perceived_belief_magnitude_is_bounded(monkeypatch):
 
 def test_popularity_monotone_under_repeated_updates():
     rng = np.random.default_rng(14)
-    world = _pair(([0.5], [0.5]), ([0.5], [0.5]))
+    world = make_world([[0.5]] * 2, [[0.5]] * 2, trust=1.0)
     trail = [world.popularity[0]]
     for _ in range(200):
         world.knowledge[:, 0] = rng.uniform(0, 1, 2)
@@ -358,45 +318,7 @@ def test_popularity_monotone_under_repeated_updates():
 
 def test_randomized_sessions_preserve_population_invariants():
     rng = np.random.default_rng(15)
-    for trial in range(300):
-        n = int(rng.integers(2, 5))
-        a_count = int(rng.integers(1, 4))
-        world = World(
-            knowledge=rng.uniform(0, 1, (n, a_count)),
-            belief=rng.uniform(-1, 1, (n, a_count)),
-            popularity=rng.uniform(0, 1, n),
-            trust=_random_trust(rng, n),
-            personality=rng.dirichlet([1, 1, 1], n),
-            willingness=rng.uniform(0, 1, n),
-            ontology=_random_ontology(rng, a_count),
-        )
-        params = TransferParams(
-            remembrance=rng.uniform(0, 1),
-            trust_history_weight=rng.uniform(0, 1),
-            popularity_decay=rng.uniform(0, 1),
-            belief_weight_mode=("transferred", "source")[trial % 2],
-        )
-        sender = int(rng.integers(n))
-        others = [x for x in range(n) if x != sender]
-        n_recv = int(rng.integers(1, len(others) + 1))
-        receivers = list(rng.choice(others, size=n_recv, replace=False))
-        send = bool(rng.integers(2))
-        feedback = tuple(bool(rng.integers(2)) and send for _ in receivers)
-        profile = StrategyProfile(send, feedback)
-        execute_session(world, sender, receivers, int(rng.integers(a_count)), profile,
-                        params)
+    for _ in range(300):
+        world, params, sender, receivers, index, send, feedback = random_session(rng)
+        execute_session(world, sender, receivers, index, StrategyProfile(send, feedback), params)
         world.validate()
-
-
-def _random_trust(rng, n):
-    t = rng.uniform(0, 1, (n, n))
-    np.fill_diagonal(t, 1.0)
-    return t
-
-
-def _random_ontology(rng, a_count):
-    if rng.integers(2):
-        return Ontology.identity(a_count)
-    m = rng.uniform(-1, 1, (a_count, a_count))
-    np.fill_diagonal(m, 1.0)
-    return Ontology(m)
