@@ -129,39 +129,50 @@ def build_payoff_tensor(
     """
     _, _, played, acts = _layout(len(receivers))
     star = play_star(world, sender, receivers, index, params, acts)
-    return PayoffTensor(star.deltas[played], star)
+    return PayoffTensor(star.deltas.take(played, axis=0), star)
 
 
-def _gains(tensor: PayoffTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The feasible cells, what each player gains there by switching its own action, and the stable cells."""
+def _stable(tensor: PayoffTensor) -> np.ndarray:
+    """The feasible cells where no player gains strictly by switching its own action.
+
+    A deviation gains when its payoff is greater, which for doubles is
+    exactly when the regret fallback's `x - y` is positive; a NaN gains
+    nothing either way.
+    """
     feasible, deviations, _, _ = _layout(tensor.n_receivers)
-    gains = tensor.payoffs.take(deviations) - tensor.payoffs[feasible]
-    return feasible, gains, feasible[~(gains > 0.0).any(axis=1)]
+    payoffs = tensor.payoffs
+    return feasible[~(payoffs.take(deviations) > payoffs.take(feasible, axis=0)).any(axis=1)]
 
 
 def find_pure_nash(tensor: PayoffTensor) -> list[StrategyProfile]:
     """All feasible profiles where no single player strictly gains by switching."""
-    return [StrategyProfile.from_cell(int(c), tensor.n_receivers) for c in _gains(tensor)[2]]
+    return [StrategyProfile.from_cell(int(c), tensor.n_receivers) for c in _stable(tensor)]
 
 
 def select_profile(tensor: PayoffTensor) -> StrategyProfile:
     """Pick the profile the session will actually play.
 
-    Among pure equilibria: maximal sender payoff first, then the lowest
-    cell (hold before send, silent before feedback per receiver). With no
-    pure equilibrium, fall back to the feasible profile minimizing the sum
-    of unilateral regrets, same tie-break. The profile carries the tensor's
-    played star and its row there; a hand-built tensor's carries none.
+    A player gains by a deviation whose payoff is greater than its own.
+    Among pure equilibria, the cells where nobody gains: maximal sender
+    payoff first, then the lowest cell (hold before send, silent before
+    feedback per receiver). With no pure equilibrium, fall back to the
+    feasible profile minimizing the sum of unilateral regrets, the
+    positive parts of each player's payoff difference, same tie-break.
+    The profile carries the tensor's played star and its row there; a
+    hand-built tensor's carries none.
     """
-    feasible, gains, stable = _gains(tensor)
+    n_receivers = tensor.n_receivers
+    stable = _stable(tensor)
     if len(stable):
-        cell = stable[np.argmax(tensor.payoffs[stable, 0])]
+        cell = stable[tensor.payoffs[stable, 0].argmax()]
     else:
+        feasible, deviations, _, _ = _layout(n_receivers)
+        gains = tensor.payoffs.take(deviations) - tensor.payoffs.take(feasible, axis=0)
         # Summed player by player from 0.0, as a Python loop over players
         # would: numpy's row sum groups terms differently and can flip a tie.
         regret = 0.0
         for gain in np.maximum(gains, 0.0).T:
             regret = regret + gain
         cell = feasible[np.argmin(regret)]
-    played = None if tensor.star is None else (tensor.star, int(_layout(tensor.n_receivers)[2][cell]))
-    return StrategyProfile.from_cell(int(cell), tensor.n_receivers, played)
+    played = None if tensor.star is None else (tensor.star, int(_layout(n_receivers)[2][cell]))
+    return StrategyProfile.from_cell(int(cell), n_receivers, played)

@@ -211,8 +211,12 @@ def step(world: World, cfg: ScenarioConfig, rng: np.random.Generator) -> Session
     sender = int(rng.integers(n))
     # Draw among the n - 1 others by position, then skip over the sender:
     # this consumes the generator exactly as drawing from the id array would.
-    picks = rng.choice(n - 1, size=cfg.n_receivers, replace=False)
-    receivers = [r + (r >= sender) for r in picks.tolist()]
+    # For one receiver, `choice` without replacement makes exactly one bounded draw.
+    if cfg.n_receivers == 1:
+        picks = [int(rng.integers(n - 1))]
+    else:
+        picks = rng.choice(n - 1, size=cfg.n_receivers, replace=False).tolist()
+    receivers = [r + (r >= sender) for r in picks]
     params = cfg.transfer_params()
 
     known = (world.knowledge[sender] > 0.0).nonzero()[0]

@@ -38,14 +38,23 @@ tensor plays every feasible cell, and `execute_session` commits the
 selected row.
 An extra row after the cells, the star before the session, gives every
 cell's deltas in one utility pass; both trust updates are one call on the
-stacked pair of trust vectors. "Source" comments are one chain over the
-whole cell axis: each receiver in turn sways the sender's belief in every
-row, kept only where it comments, and the sender's value after each
-comment credits every responder's popularity in one pass.
+stacked pair of trust vectors, gathered and written back with one index
+pair. "Source" comments are one chain over the whole cell axis: each
+receiver in turn sways the sender's belief in every row, kept only where
+it comments, and the sender's value after each comment credits every
+responder's popularity in one pass.
+
+Playing a star takes many numpy calls on arrays of a few elements, so
+their count, not the arithmetic, sets its cost. What the rows of flags
+alone decide is planned once per pattern and idle-decay rate and shared,
+read-only, by every later call: the flags with the star before's row, the
+sending rows as a slice, the comment flags along the cell axis and the
+idle-decay multipliers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +130,41 @@ class StarCells:
     trust_in_receivers: np.ndarray  # (N,) sender's trust in each after its comment
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(flags: bytes, shape: tuple, size: int, decay: float):
+    """What a star's rows of action flags fix before any state is read; shared, so read-only.
+
+    Returns the flags with the star before appended (a row of none), the
+    sending rows as a slice when they are consecutive, whether any row
+    sends, each receiver's comment flags along the cell axis, and each
+    entry's idle-decay multiplier: 1.0 where it acts and in the star
+    before, where a product by 1.0 leaves popularity exactly as it is.
+    """
+    acts = np.concatenate((np.frombuffer(flags, dtype=bool).reshape(shape), np.zeros((1, size), dtype=bool)))
+    rows = np.flatnonzero(acts[:, 0])
+    sends = slice(int(rows[0]), int(rows[-1]) + 1) if len(rows) and rows[-1] - rows[0] == len(rows) - 1 else rows
+    kept = np.where(acts, 1.0, 1.0 - decay)
+    kept[-1] = 1.0
+    for shared in (acts, rows, kept):
+        shared.setflags(write=False)
+    return acts, sends, len(rows) > 0, acts.T[1:], kept
+
+
+@functools.lru_cache(maxsize=None)
+def _trust_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Star positions (rows, columns) of the two trust vectors in a star's trust columns.
+
+    Row 0 is each receiver's trust in the sender, row 1 the sender's trust
+    in each receiver; a star position p stands for actor `ids[p]`.
+    """
+    receivers = np.arange(1, size)
+    senders = np.zeros_like(receivers)
+    pair = np.array((receivers, senders)), np.array((senders, receivers))
+    for shared in pair:
+        shared.setflags(write=False)
+    return pair
+
+
 def play_star(world: World, sender, receivers, index, params: TransferParams, acts) -> StarCells:
     """Play the session of each given row of action flags on the star alone.
 
@@ -138,28 +182,35 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
     The arrays end with the star before the session, in which nobody acts,
     forgets or decays: a cell's deltas are its utility less that row's. The
     comment chain and the single trust update run on every row.
+
+    The flags are planned once per pattern and `popularity_decay` (`_plan`)
+    and shared by every call that plays them, so the returned `acts` is
+    read-only. A planned multiplier of 1.0 leaves an active participant's
+    popularity as it is, bit for bit.
     """
     session = (sender, tuple(receivers), index, params)
     ids = [sender, *receivers]
     size, n = len(ids), world.n_actors
     if size < 2 or len(set(ids)) < size or not 0 <= min(ids) <= max(ids) < n:
         raise ValueError(f"a star needs a receiver, and distinct actor ids in [0, {n})")
+    acts = np.asarray(acts, dtype=bool)
+    acts, sends, any_send, comments, kept = _plan(acts.tobytes(), acts.shape, size, params.popularity_decay)
     ids = np.array(ids)
     receivers = ids[1:]
-    acts = np.concatenate((np.asarray(acts, dtype=bool), np.zeros((1, size), dtype=bool)))  # then the star before
-    sends = acts[:, 0]
-    weights = world.personality[ids]
-    knowledge, belief = world.knowledge[ids], world.belief[ids]
+    weights = world.personality.take(ids, axis=0)
+    knowledge, belief = world.knowledge.take(ids, axis=0), world.belief.take(ids, axis=0)
     popularity = world.popularity[ids]
     cell_knowledge = knowledge[None].repeat(len(acts), axis=0)
     cell_belief = belief[None].repeat(len(acts), axis=0)
     cell_popularity = popularity[None].repeat(len(acts), axis=0)
     # A column-contiguous copy, summed column by column as World.reputations sums it.
     columns = world.trust[:, ids]
-    self_trust = world.trust[ids, ids]
+    self_trust = world.trust.diagonal()[ids]
     reputation = world.reputation[ids]
     # The receivers' trust in the sender, then the sender's in each receiver.
-    trust = np.array((columns[receivers, 0], columns[sender, 1:]))
+    pair_rows, pair_columns = _trust_pair(size)
+    pair = ids.take(pair_rows), pair_columns
+    trust = columns[pair]
 
     if params.remembrance != 1.0:
         root = np.sqrt(params.remembrance)
@@ -167,7 +218,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
         belief = belief * root
         cell_knowledge[:-1] = knowledge
         cell_belief[:-1] = belief
-    if sends.any():
+    if any_send:
         if index is None or not 0 <= index < world.n_assertions:
             raise ValueError(f"a send needs an assertion index in [0, {world.n_assertions})")
         # Post-forget tuples: a comment carries the responder's own, and both
@@ -195,7 +246,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
         # (the sender's counts only where the receiver comments); the sender's
         # popularity grows with what receivers learned.
         trust = trust_update(trust, b_sent, said[1:], params.trust_history_weight)
-        columns[receivers, 0], columns[sender, 1:] = trust
+        columns[pair] = trust
         gained = np.abs(learned_k * learned - said_k[1:] * said[1:]).sum() / (size - 1)
         delta_p = min(1.0, max(0.0, float(gained)))
         cell_popularity[sends, 0] = popularity[0] + delta_p - popularity[0] * delta_p
@@ -205,14 +256,25 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
         # knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
             # The sender's belief with the cell axis last: each receiver's
-            # perceived belief and comment flags broadcast along it.
+            # perceived belief and comment flags broadcast along it. The chain
+            # is `combined_belief(b, perceived, said_k)` with the receiver's
+            # parts computed once: a product by the sign is exact, so
+            # 1 - sign * b is the saturation gain, and (said_k * perceived) * gain
+            # keeps the operator's order of operations.
             perceived = world.ontology.m[index] * (in_receivers * said[1:])[:, None]
-            chain = [cell_belief[:, 0].T.copy()]  # (A, C+1): after the send, then after each comment
-            for on, b_added, weight in zip(acts.T[1:], perceived[:, :, None], said_k[1:].tolist()):
-                swayed = clamped_array(combined_belief(chain[-1], b_added, weight), -1.0, 1.0)
-                chain.append(np.where(on, swayed, chain[-1]))
-            cell_belief[:, 0] = chain[-1].T
-            values = k_sent * np.array([b[index] for b in chain])  # (N+1, C+1)
+            signs = np.where(perceived >= 0.0, 1.0, -1.0)[:, :, None]
+            pushed = (said_k[1:, None] * perceived)[:, :, None]
+            # Only b[index] is kept along the chain: a whole (N+1, A, C+1) chain,
+            # 83 KB at N=7, made the heap shrink and regrow on every step.
+            b = cell_belief[:, 0].T  # (A, C+1)
+            chain = np.empty((size, len(acts)))  # b[index] after the send, then after each comment
+            chain[0] = b[index]
+            for r, (on, sign, push) in enumerate(zip(comments, signs, pushed), 1):
+                swayed = clamped_array(b + push * (1.0 - sign * b), -1.0, 1.0)
+                b = np.where(on, swayed, b)
+                chain[r] = b[index]
+            cell_belief[:, 0] = b.T
+            values = k_sent * chain  # (N+1, C+1)
             # A comment changed one actor, so it credits popularity on the scale
             # one trust entry has in reputation: 1/(n-1) per actor. A silent
             # receiver's change is exactly 0, which leaves its popularity alone.
@@ -220,9 +282,8 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
             p = cell_popularity[:, 1:]
             cell_popularity[:, 1:] = p + credit - p * credit
 
-    # Idle decay for every participant who neither sent nor commented.
-    cell_popularity = np.where(acts, cell_popularity, cell_popularity * (1.0 - params.popularity_decay))
-    cell_popularity[-1] = popularity  # the star before the session does not decay
+    # Idle decay for every participant who neither sent nor commented; the star before does not decay.
+    cell_popularity *= kept
     reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
     u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
     return StarCells(session, acts[:-1], u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1],
@@ -284,7 +345,7 @@ def execute_session(
     world.reputation[participants] = star.reputation[row]
     if send:  # the trust vectors hold a send's update even when a hold was chosen
         world.trust[participants[1:], sender] = star.trust_in_sender
-        world.trust[sender, responders] = star.trust_in_receivers[np.array(profile.feedback, bool)]
+        world.trust[sender, responders] = star.trust_in_receivers[star.acts[row, 1:]]
     return SessionOutcome(
         sent=send,
         assertion_index=index,

@@ -169,13 +169,20 @@ def test_step_is_deterministic_given_seed():
     assert [o.responders for o in o1] == [o.responders for o in o2]
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 10, 33])
-def test_assertion_draw_consumes_the_generator_as_choice_does(size):
+@pytest.mark.parametrize("size, one_receiver", [
+    *(pytest.param(size, False, id=str(size)) for size in (1, 2, 7, 10, 33)),
+    *(pytest.param(size, True, id=f"receiver-{size}") for size in (1, 2, 99, 999, 20000)),
+])
+def test_assertion_draw_consumes_the_generator_as_choice_does(size, one_receiver):
     # step draws the assertion by index; the golden runs were drawn with rng.choice(known).
+    # It draws one receiver by index too, where they used rng.choice(n - 1, size=1, replace=False).
     known = np.arange(size) * 3 + 1
     for seed in range(200):
         by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert known[by_index.integers(known.size)] == by_choice.choice(known)
+        if one_receiver:
+            assert by_index.integers(size) == by_choice.choice(size, size=1, replace=False)[0]
+        else:
+            assert known[by_index.integers(known.size)] == by_choice.choice(known)
         assert by_index.random() == by_choice.random()
 
 

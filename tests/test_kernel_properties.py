@@ -213,6 +213,30 @@ def test_a_carried_row_of_another_cell_raises():
         assert same_bits(getattr(world, key), getattr(before, key))
 
 
+def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
+    # The kernel memoises what a pattern of flags fixes, the idle-decay
+    # multipliers among it, and shares it between calls: the rate must be
+    # part of the key, and the shared arrays must be read-only.
+    rng = np.random.default_rng(8)
+    world = make_world(rng.uniform(0, 1, (4, 3)), rng.uniform(-1, 1, (4, 3)), trust=0.6,
+                       popularity=rng.uniform(0, 1, 4))
+    for decay in (0.25, 0.5):
+        params = TransferParams(popularity_decay=decay, belief_weight_mode="source")
+        star = play_star(world, 0, [1, 2], 1, params, [(True, True, False)])
+        expected, mirror = replay(world, 0, [1, 2], 1, True, (True, False), params)
+        assert max(abs(d - expected[p]) for d, p in zip(star.deltas[0].tolist(), (0, 1, 2))) <= EXACT
+        assert np.abs(star.popularity[0] - np.array(mirror["pop"][:3])).max() <= EXACT
+        with pytest.raises(ValueError, match="read-only"):
+            star.acts[0, 0] = False
+    # Sending rows that are not consecutive are planned as an index, not a slice.
+    rows = [(True, True, False), (False, False, False), (True, False, True)]
+    star = play_star(world, 0, [1, 2], 1, params, rows)
+    for row, flags in enumerate(rows):
+        alone = play_star(world, 0, [1, 2], 1, params, [flags])
+        for key in ("deltas", "knowledge", "belief", "popularity", "reputation"):
+            assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
+
+
 @PROPERTY
 @given(games(), st.data())
 def test_relabelling_the_actors_keeps_the_tensor(game, data):
