@@ -48,8 +48,7 @@ Playing a star takes many numpy calls on arrays of a few elements, so
 their count, not the arithmetic, sets its cost. What the rows of flags
 alone decide is planned once per pattern and idle-decay rate and shared,
 read-only, by every later call: the flags with the star before's row, the
-sending rows as a slice, the comment flags along the cell axis and the
-idle-decay multipliers.
+sending rows as an index and the idle-decay multipliers.
 """
 
 from __future__ import annotations
@@ -135,19 +134,17 @@ def _plan(flags: bytes, shape: tuple, size: int, decay: float):
     """What a star's rows of action flags fix before any state is read; shared, so read-only.
 
     Returns the flags with the star before appended (a row of none), the
-    sending rows as a slice when they are consecutive, whether any row
-    sends, each receiver's comment flags along the cell axis, and each
+    sending rows as an integer index, whether any row sends, and each
     entry's idle-decay multiplier: 1.0 where it acts and in the star
     before, where a product by 1.0 leaves popularity exactly as it is.
     """
     acts = np.concatenate((np.frombuffer(flags, dtype=bool).reshape(shape), np.zeros((1, size), dtype=bool)))
-    rows = np.flatnonzero(acts[:, 0])
-    sends = slice(int(rows[0]), int(rows[-1]) + 1) if len(rows) and rows[-1] - rows[0] == len(rows) - 1 else rows
+    sends = np.flatnonzero(acts[:, 0])
     kept = np.where(acts, 1.0, 1.0 - decay)
     kept[-1] = 1.0
-    for shared in (acts, rows, kept):
+    for shared in (acts, sends, kept):
         shared.setflags(write=False)
-    return acts, sends, len(rows) > 0, acts.T[1:], kept
+    return acts, sends, len(sends) > 0, kept
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,7 +191,7 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
     if size < 2 or len(set(ids)) < size or not 0 <= min(ids) <= max(ids) < n:
         raise ValueError(f"a star needs a receiver, and distinct actor ids in [0, {n})")
     acts = np.asarray(acts, dtype=bool)
-    acts, sends, any_send, comments, kept = _plan(acts.tobytes(), acts.shape, size, params.popularity_decay)
+    acts, sends, any_send, kept = _plan(acts.tobytes(), acts.shape, size, params.popularity_decay)
     ids = np.array(ids)
     receivers = ids[1:]
     weights = world.personality.take(ids, axis=0)
@@ -256,25 +253,14 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
         # knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
             # The sender's belief with the cell axis last: each receiver's
-            # perceived belief and comment flags broadcast along it. The chain
-            # is `combined_belief(b, perceived, said_k)` with the receiver's
-            # parts computed once: a product by the sign is exact, so
-            # 1 - sign * b is the saturation gain, and (said_k * perceived) * gain
-            # keeps the operator's order of operations.
+            # perceived belief and comment flags broadcast along it.
             perceived = world.ontology.m[index] * (in_receivers * said[1:])[:, None]
-            signs = np.where(perceived >= 0.0, 1.0, -1.0)[:, :, None]
-            pushed = (said_k[1:, None] * perceived)[:, :, None]
-            # Only b[index] is kept along the chain: a whole (N+1, A, C+1) chain,
-            # 83 KB at N=7, made the heap shrink and regrow on every step.
-            b = cell_belief[:, 0].T  # (A, C+1)
-            chain = np.empty((size, len(acts)))  # b[index] after the send, then after each comment
-            chain[0] = b[index]
-            for r, (on, sign, push) in enumerate(zip(comments, signs, pushed), 1):
-                swayed = clamped_array(b + push * (1.0 - sign * b), -1.0, 1.0)
-                b = np.where(on, swayed, b)
-                chain[r] = b[index]
-            cell_belief[:, 0] = b.T
-            values = k_sent * chain  # (N+1, C+1)
+            chain = [cell_belief[:, 0].T.copy()]  # (A, C+1): after the send, then after each comment
+            for on, b_added, weight in zip(acts.T[1:], perceived[:, :, None], said_k[1:].tolist()):
+                swayed = clamped_array(combined_belief(chain[-1], b_added, weight), -1.0, 1.0)
+                chain.append(np.where(on, swayed, chain[-1]))
+            cell_belief[:, 0] = chain[-1].T
+            values = k_sent * np.array([b[index] for b in chain])  # (N+1, C+1)
             # A comment changed one actor, so it credits popularity on the scale
             # one trust entry has in reputation: 1/(n-1) per actor. A silent
             # receiver's change is exactly 0, which leaves its popularity alone.

@@ -228,7 +228,7 @@ def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
         assert np.abs(star.popularity[0] - np.array(mirror["pop"][:3])).max() <= EXACT
         with pytest.raises(ValueError, match="read-only"):
             star.acts[0, 0] = False
-    # Sending rows that are not consecutive are planned as an index, not a slice.
+    # Each row of a star whose sending rows are not consecutive plays as it does alone.
     rows = [(True, True, False), (False, False, False), (True, False, True)]
     star = play_star(world, 0, [1, 2], 1, params, rows)
     for row, flags in enumerate(rows):
