@@ -15,11 +15,14 @@ Commenting on an unpublished assertion is infeasible: every hold row
 (sender bit 0) repeats the all-hold row 0, so a deviation onto one needs
 no special case. The selected profile carries its row of the played star,
 which `transfer.execute_session` commits without playing the session again.
+`build_payoff_tensors` builds the tensors of a run of disjoint stars from
+one such call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +50,7 @@ class StrategyProfile:
 
     @staticmethod
     def from_cell(cell: int, n_receivers: int, played=None) -> "StrategyProfile":
-        bits = [bool(cell >> (n_receivers - p) & 1) for p in range(n_receivers + 1)]
-        return StrategyProfile(bits[0], tuple(bits[1:]), played)
+        return StrategyProfile(*_flags(n_receivers)[cell], played)
 
     @staticmethod
     def all_hold(n_receivers: int) -> "StrategyProfile":
@@ -79,6 +81,12 @@ def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     for shared in (feasible, deviations, played, acts):  # cached for every caller: read-only
         shared.setflags(write=False)
     return feasible, deviations, played, acts
+
+
+@functools.lru_cache(maxsize=None)
+def _flags(n_receivers: int) -> tuple[tuple[bool, tuple[bool, ...]], ...]:
+    """Each cell's profile fields (send, feedback), in cell order."""
+    return tuple((bits[0], bits[1:]) for bits in itertools.product((False, True), repeat=n_receivers + 1))
 
 
 @dataclass(eq=False)
@@ -127,9 +135,17 @@ def build_payoff_tensor(
     stays on the tensor; `execute_session` commits its row for the selected
     profile: a cell's bits do not depend on the others, so a row is its session.
     """
-    _, _, played, acts = _layout(len(receivers))
-    star = play_star(world, sender, receivers, index, params, acts)
-    return PayoffTensor(star.deltas.take(played, axis=0), star)
+    return build_payoff_tensors(world, [(sender, receivers, index)], params)[0]
+
+
+def build_payoff_tensors(world: World, stars, params: TransferParams) -> list[PayoffTensor]:
+    """One tensor per star of a run of disjoint stars, all played in one `play_star` call.
+
+    Star j's tensor is the one `build_payoff_tensor` builds once the j
+    sessions before it are committed, bit for bit (`play_star`).
+    """
+    _, _, played, acts = _layout(len(stars[0][1]))
+    return [PayoffTensor(star.deltas.take(played, axis=0), star) for star in play_star(world, stars, params, acts)]
 
 
 def _stable(tensor: PayoffTensor) -> np.ndarray:
@@ -175,4 +191,4 @@ def select_profile(tensor: PayoffTensor) -> StrategyProfile:
             regret = regret + gain
         cell = feasible[np.argmin(regret)]
     played = None if tensor.star is None else (tensor.star, int(_layout(n_receivers)[2][cell]))
-    return StrategyProfile.from_cell(int(cell), n_receivers, played)
+    return StrategyProfile(*_flags(n_receivers)[cell], played)

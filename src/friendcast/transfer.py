@@ -35,7 +35,8 @@ participants' k and b rows, popularity and kept reputations, and the
 trust columns that give their reputations after the session. It is also
 the one place that checks a star. A step plays its star once: the payoff
 tensor plays every feasible cell, and `execute_session` commits the
-selected row.
+selected row. Stars that share no actor play in one call along a leading
+star axis, each as it plays once the stars before it are committed.
 An extra row after the cells, the star before the session, gives every
 cell's deltas in one utility pass; both trust updates are one call on the
 stacked pair of trust vectors, gathered and written back with one index
@@ -45,7 +46,8 @@ it comments, and the sender's value after each comment credits every
 responder's popularity in one pass.
 
 Playing a star takes many numpy calls on arrays of a few elements, so
-their count, not the arithmetic, sets its cost. What the rows of flags
+their count, not the arithmetic, sets its cost, and a run of stars pays
+it about once. What the rows of flags
 alone decide is planned once per pattern and idle-decay rate and shared,
 read-only, by every later call: the flags with the star before's row, the
 sending rows as an index and the idle-decay multipliers.
@@ -148,33 +150,46 @@ def _plan(flags: bytes, shape: tuple, size: int, decay: float):
 
 
 @functools.lru_cache(maxsize=None)
-def _trust_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Star positions (rows, columns) of the two trust vectors in a star's trust columns.
+def _trust_pair(size: int, stars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run positions (rows, columns) of the two trust vectors of each star in a run's trust columns.
 
-    Row 0 is each receiver's trust in the sender, row 1 the sender's trust
-    in each receiver; a star position p stands for actor `ids[p]`.
+    For star j, row 0 is each receiver's trust in the sender, row 1 the
+    sender's trust in each receiver; a run position p stands for actor
+    `ids[p]` and for the p-th gathered column, star j's at j*size onward.
     """
     receivers = np.arange(1, size)
     senders = np.zeros_like(receivers)
-    pair = np.array((receivers, senders)), np.array((senders, receivers))
+    offsets = np.arange(0, stars * size, size)[:, None, None]
+    pair = offsets + np.array((receivers, senders)), offsets + np.array((senders, receivers))
     for shared in pair:
         shared.setflags(write=False)
     return pair
 
 
-def play_star(world: World, sender, receivers, index, params: TransferParams, acts) -> StarCells:
-    """Play the session of each given row of action flags on the star alone.
+def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCells]:
+    """Play the session of each given row of action flags on each star of a run, each star alone.
 
-    `acts` is (C, N+1): whether the sender sends, then whether each
-    receiver comments, in friend-list order. A row of no flags is the
-    all-hold session, in which every participant is inactive, forgets and
-    decays. `world` is only read. Every cell is, element for element, the
-    arithmetic of that session on the whole world, so its bits do not
-    depend on the other cells.
+    `stars` is a run of sessions (sender, receivers, index) with the same
+    number N of receivers and no actor in two of them; `acts` is (C, N+1):
+    whether the sender sends, then whether each receiver comments, in
+    friend-list order. A row of no flags is the all-hold session, in which
+    every participant is inactive, forgets and decays. Returns one
+    `StarCells` per star, in run order.
 
-    The star needs at least one receiver, and no actor twice; every id
-    and, when a cell sends, `index` must exist in `world`. When no cell
-    sends, `index` may be None.
+    Star j is played as the session j steps from now. A session reads and
+    writes only its star's rows and trust columns, so all that the j
+    sessions before it change of star j's state, whichever cells they
+    commit, is their forgetting and idle-decay ticks: its rows get them as
+    j successive products, as j commits make them, not as a power. `world`
+    is only read, and a run played ahead stays exact only while nothing
+    but its stars' commits, one per step and in order, changes the world
+    (`harness.SessionStream`). Every cell is, element for element, the
+    arithmetic of that session on the whole world, so its bits depend
+    neither on the other cells nor on the other stars.
+
+    A star needs at least one receiver, and no actor may appear twice in
+    the run; every id and, when a cell sends, every star's `index` must
+    exist in `world`. When no cell sends, `index` may be None.
 
     The arrays end with the star before the session, in which nobody acts,
     forgets or decays: a cell's deltas are its utility less that row's. The
@@ -185,95 +200,115 @@ def play_star(world: World, sender, receivers, index, params: TransferParams, ac
     read-only. A planned multiplier of 1.0 leaves an active participant's
     popularity as it is, bit for bit.
     """
-    session = (sender, tuple(receivers), index, params)
-    ids = [sender, *receivers]
-    size, n = len(ids), world.n_actors
-    if size < 2 or len(set(ids)) < size or not 0 <= min(ids) <= max(ids) < n:
-        raise ValueError(f"a star needs a receiver, and distinct actor ids in [0, {n})")
+    sessions = [(sender, tuple(receivers), index, params) for sender, receivers, index in stars]
+    ids = [(sender, *receivers) for sender, receivers, _, _ in sessions]
+    flat = [i for star in ids for i in star]
+    size, n = len(ids[0]), world.n_actors
+    if size < 2 or len(flat) != size * len(ids) or len(set(flat)) < len(flat) or not 0 <= min(flat) <= max(flat) < n:
+        raise ValueError(f"a star needs a receiver, and distinct actor ids in [0, {n}) across its run")
     acts = np.asarray(acts, dtype=bool)
     acts, sends, any_send, kept = _plan(acts.tobytes(), acts.shape, size, params.popularity_decay)
-    ids = np.array(ids)
-    receivers = ids[1:]
-    weights = world.personality.take(ids, axis=0)
+    ids, flat = np.array(ids), np.array(flat)
+    weights = world.personality.take(ids, axis=0)[:, None]  # (K, 1, N+1, 3)
     knowledge, belief = world.knowledge.take(ids, axis=0), world.belief.take(ids, axis=0)
     popularity = world.popularity[ids]
-    cell_knowledge = knowledge[None].repeat(len(acts), axis=0)
-    cell_belief = belief[None].repeat(len(acts), axis=0)
-    cell_popularity = popularity[None].repeat(len(acts), axis=0)
+    root = np.sqrt(params.remembrance)
+    for later in range(1, len(ids)):  # each session's ticks on the stars after it, one product each
+        if params.remembrance != 1.0:
+            knowledge[later:] *= root
+            belief[later:] *= root
+        if params.popularity_decay != 0.0:
+            popularity[later:] *= 1.0 - params.popularity_decay
+    cell_knowledge = knowledge[:, None].repeat(len(acts), axis=1)
+    cell_belief = belief[:, None].repeat(len(acts), axis=1)
+    cell_popularity = popularity[:, None].repeat(len(acts), axis=1)
     # A column-contiguous copy, summed column by column as World.reputations sums it.
-    columns = world.trust[:, ids]
-    self_trust = world.trust.diagonal()[ids]
-    reputation = world.reputation[ids]
-    # The receivers' trust in the sender, then the sender's in each receiver.
-    pair_rows, pair_columns = _trust_pair(size)
-    pair = ids.take(pair_rows), pair_columns
+    columns = world.trust[:, flat]
+    self_trust = world.trust.diagonal()[flat]
+    reputation = world.reputation[flat]
+    # Each star's receivers' trust in its sender, then the sender's in each receiver.
+    pair_rows, pair_columns = _trust_pair(size, len(ids))
+    pair = flat.take(pair_rows), pair_columns
     trust = columns[pair]
 
     if params.remembrance != 1.0:
-        root = np.sqrt(params.remembrance)
         knowledge = knowledge * root
         belief = belief * root
-        cell_knowledge[:-1] = knowledge
-        cell_belief[:-1] = belief
+        cell_knowledge[:, :-1] = knowledge[:, None]
+        cell_belief[:, :-1] = belief[:, None]
     if any_send:
-        if index is None or not 0 <= index < world.n_assertions:
+        index = [i for _, _, i, _ in sessions]
+        if None in index or not 0 <= min(index) <= max(index) < world.n_assertions:
             raise ValueError(f"a send needs an assertion index in [0, {world.n_assertions})")
+        index = np.array(index)
+        j = np.arange(len(ids))
         # Post-forget tuples: a comment carries the responder's own, and both
         # trust updates compare these beliefs.
-        said_k, said = knowledge[:, index], belief[:, index]
-        k_sent, b_sent = said_k[0], said[0]
-        in_sender, in_receivers = trust  # as they stood before the session
-        guess = belief[1:] @ world.ontology.m[:, index] / world.n_assertions
+        said_k, said = knowledge[j, :, index], belief[j, :, index]
+        k_sent, b_sent = said_k[:, :1], said[:, :1]
+        in_sender, in_receivers = trust[:, 0], trust[:, 1]  # as they stood before the session
+        m = world.ontology.m
+        # One product per star on a strided column of m, as one star alone
+        # makes it: BLAS sums a strided and a contiguous vector in different
+        # orders, so a stacked matmul on gathered columns moves the last bits.
+        guess = np.array([b @ m[:, i] for b, i in zip(belief[:, 1:], index.tolist())]) / world.n_assertions
         mix = in_sender * b_sent + (1.0 - in_sender) * guess
-        dk = world.willingness[receivers] * k_sent
-        learned_k = clamped_array(combined_knowledge(said_k[1:], dk), 0.0, 1.0)
-        cell_knowledge[sends, 1:, index] = learned_k
+        dk = world.willingness[ids[:, 1:]] * k_sent
+        learned_k = clamped_array(combined_knowledge(said_k[:, 1:], dk), 0.0, 1.0)
+        sent = j[:, None], sends, slice(1, None), index[:, None]  # (K, sending rows, N)
+        cell_knowledge[sent] = learned_k[:, None]
         if params.belief_weight_mode == "transferred":
             # Zero knowledge arrives off the transferred index, so the learning
             # operator leaves every other belief exactly unchanged.
-            learned = clamped_array(combined_belief(said[1:], mix, dk), -1.0, 1.0)
-            cell_belief[sends, 1:, index] = learned
+            learned = clamped_array(combined_belief(said[:, 1:], mix, dk), -1.0, 1.0)
+            cell_belief[sent] = learned[:, None]
         else:
-            db = mix[:, None] * world.ontology.m[index]  # np.outer's product
-            learned_rows = clamped_array(combined_belief(belief[1:], db, dk[:, None]), -1.0, 1.0)
-            cell_belief[sends, 1:] = learned_rows
-            learned = learned_rows[:, index]
+            m_sent = m[index]  # each star's row of the transferred assertion
+            db = mix[:, :, None] * m_sent[:, None]  # np.outer's product, star by star
+            learned_rows = clamped_array(combined_belief(belief[:, 1:], db, dk[:, :, None]), -1.0, 1.0)
+            cell_belief[:, sends, 1:] = learned_rows[:, None]
+            learned = learned_rows[j, :, index]
 
         # Both trust updates react to the agreement that held before the transfer
         # (the sender's counts only where the receiver comments); the sender's
         # popularity grows with what receivers learned.
-        trust = trust_update(trust, b_sent, said[1:], params.trust_history_weight)
+        trust = trust_update(trust, b_sent[:, :, None], said[:, None, 1:], params.trust_history_weight)
         columns[pair] = trust
-        gained = np.abs(learned_k * learned - said_k[1:] * said[1:]).sum() / (size - 1)
-        delta_p = min(1.0, max(0.0, float(gained)))
-        cell_popularity[sends, 0] = popularity[0] + delta_p - popularity[0] * delta_p
+        gained = np.abs(learned_k * learned - said_k[:, 1:] * said[:, 1:]).sum(axis=1) / (size - 1)
+        delta_p = np.minimum(1.0, gained)[:, None]  # a sum of magnitudes: never below 0
+        cell_popularity[:, sends, 0] = popularity[:, :1] + delta_p - popularity[:, :1] * delta_p
 
         # Comments in friend-list order, each learned in every row and kept
         # where the responder comments. A "transferred" comment carries zero
         # knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
-            # The sender's belief with the cell axis last: each receiver's
-            # perceived belief and comment flags broadcast along it.
-            perceived = world.ontology.m[index] * (in_receivers * said[1:])[:, None]
-            chain = [cell_belief[:, 0].T.copy()]  # (A, C+1): after the send, then after each comment
-            for on, b_added, weight in zip(acts.T[1:], perceived[:, :, None], said_k[1:].tolist()):
+            # The senders' beliefs, one row per star and assertion, with the cell
+            # axis last: each receiver's perceived belief, its knowledge as the
+            # weight, and its comment flags broadcast along it.
+            a_count = world.n_assertions
+            perceived = (in_receivers * said[:, 1:]).T[:, :, None] * m_sent  # (N, K, A)
+            k_said = said_k[:, 1:].T.repeat(a_count, axis=1)  # (N, K*A)
+            chain = [cell_belief[:, :, 0].transpose(0, 2, 1).copy().reshape(-1, len(acts))]  # after the send, each comment
+            for on, b_added, weight in zip(acts.T[1:], perceived.reshape(size - 1, -1, 1), k_said[..., None]):
                 swayed = clamped_array(combined_belief(chain[-1], b_added, weight), -1.0, 1.0)
                 chain.append(np.where(on, swayed, chain[-1]))
-            cell_belief[:, 0] = chain[-1].T
-            values = k_sent * np.array([b[index] for b in chain])  # (N+1, C+1)
+            cell_belief[:, :, 0] = chain[-1].reshape(len(ids), a_count, -1).transpose(0, 2, 1)
+            rows = j * a_count + index  # each star's row of the transferred assertion
+            values = k_sent * np.array([b.take(rows, axis=0) for b in chain])  # (N+1, K, C+1)
             # A comment changed one actor, so it credits popularity on the scale
             # one trust entry has in reputation: 1/(n-1) per actor. A silent
             # receiver's change is exactly 0, which leaves its popularity alone.
-            credit = (np.minimum(1.0, np.abs(values[1:] - values[:-1])) / (n - 1)).T
-            p = cell_popularity[:, 1:]
-            cell_popularity[:, 1:] = p + credit - p * credit
+            credit = (np.minimum(1.0, np.abs(values[1:] - values[:-1])) / (n - 1)).transpose(1, 2, 0)
+            p = cell_popularity[:, :, 1:]
+            cell_popularity[:, :, 1:] = p + credit - p * credit
 
     # Idle decay for every participant who neither sent nor commented; the star before does not decay.
     cell_popularity *= kept
-    reputation = np.where(acts, reputation_of(columns, self_trust), reputation)
+    shape = len(ids), 1, size
+    reputation = np.where(acts, reputation_of(columns, self_trust).reshape(shape), reputation.reshape(shape))
     u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
-    return StarCells(session, acts[:-1], u[:-1] - u[-1], cell_knowledge[:-1], cell_belief[:-1], cell_popularity[:-1],
-                     reputation[:-1], *trust)
+    return list(map(StarCells, sessions, [acts[:-1]] * len(sessions), u[:, :-1] - u[:, -1:], cell_knowledge[:, :-1],
+                    cell_belief[:, :-1], cell_popularity[:, :-1], reputation[:, :-1], trust[:, 0], trust[:, 1]))
 
 
 def execute_session(
@@ -315,7 +350,10 @@ def execute_session(
     if not send and responders:
         raise ValueError("infeasible profile: feedback without a send")
 
-    star, row = profile.played or (play_star(world, sender, receivers, index, params, [(send, *profile.feedback)]), 0)
+    if profile.played:
+        star, row = profile.played
+    else:
+        [star], row = play_star(world, [(sender, receivers, index)], params, [(send, *profile.feedback)]), 0
     session = (sender, tuple(receivers), index, params)
     if star.session != session or star.acts[row].tolist() != [send, *profile.feedback]:
         raise ValueError("the profile's star row was played for another session or cell")

@@ -22,10 +22,11 @@ def reputation_of(columns: np.ndarray, self_trust: np.ndarray) -> np.ndarray:
 def utility_of(weights, knowledge, belief, reputation, popularity) -> np.ndarray:
     """Each actor's convex mix of average knowledge, reputation and popularity.
 
-    Leading axes of the state arrays, before the actor axis, index cells.
+    Leading axes of the state arrays, before the actor axis, index stars
+    and cells; the weights' leading axes broadcast against them.
     """
     k = np.abs(knowledge * belief).sum(axis=-1) / knowledge.shape[-1]  # rounds as np.mean does
-    return weights[:, 0] * k + weights[:, 1] * reputation + weights[:, 2] * popularity
+    return weights[..., 0] * k + weights[..., 1] * reputation + weights[..., 2] * popularity
 
 
 @dataclass

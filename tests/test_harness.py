@@ -11,6 +11,7 @@ from friendcast import game, harness, transfer
 from friendcast.harness import (
     ConfigError,
     ScenarioConfig,
+    SessionStream,
     _tier_counts,
     init_population,
     simulate,
@@ -156,7 +157,8 @@ def test_step_is_deterministic_given_seed():
     def trajectory():
         rng = np.random.default_rng(cfg.rng_seed)
         world = init_population(cfg, rng)
-        outcomes = [step(world, cfg, rng) for _ in range(20)]
+        stream = SessionStream(cfg, rng)
+        outcomes = [step(world, cfg, stream) for _ in range(20)]
         return world, outcomes
 
     w1, o1 = trajectory()
@@ -186,12 +188,58 @@ def test_assertion_draw_consumes_the_generator_as_choice_does(size, one_receiver
         assert by_index.random() == by_choice.random()
 
 
+def per_step_sessions(cfg, steps):
+    """A run's sessions drawn and played one step at a time, with `rng.choice` as the golden runs drew them.
+
+    Returns each step's (actors, index), sender first, and the generator's next `random()`.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    world = init_population(cfg, rng)
+    params, sessions = cfg.transfer_params(), []
+    for _ in range(steps):
+        sender = int(rng.integers(cfg.n_actors))
+        others = [a for a in range(cfg.n_actors) if a != sender]
+        receivers = [others[r] for r in rng.choice(cfg.n_actors - 1, size=cfg.n_receivers, replace=False)]
+        known = (world.knowledge[sender] > 0.0).nonzero()[0]
+        if known.size:
+            index = int(rng.choice(known))
+            profile = game.select_profile(game.build_payoff_tensor(world, sender, receivers, index, params))
+        else:
+            index, profile = None, game.StrategyProfile.all_hold(cfg.n_receivers)
+        transfer.execute_session(world, sender, receivers, index, profile, params)
+        sessions.append(([sender, *receivers], index))
+    return sessions, rng.random()
+
+
+@pytest.mark.parametrize("n, n_receivers, steps", [(2, 1, 30), (3, 2, 30), (8, 1, 60), (100, 5, 120), (1000, 1, 300)])
+@pytest.mark.parametrize("remembrance", [0.9, 1e-300])
+def test_the_stream_draws_what_one_draw_per_step_draws(n, n_receivers, steps, remembrance):
+    # A quarter of the senders know nothing from the start; at remembrance
+    # 1e-300 a sender's knowledge underflows to 0 after a few ticks, so
+    # later stars of a run know less than the world's rows show.
+    cfg = tiny_config(n_actors=n, n_receivers=n_receivers, n_steps=steps, remembrance=remembrance,
+                      knowledge_tiers=[[0.25, 0.0], [0.75, 0.9]], rng_seed=11)
+    expected, next_random = per_step_sessions(cfg, steps)
+    rng = np.random.default_rng(cfg.rng_seed)
+    world = init_population(cfg, rng)
+    stream = SessionStream(cfg, rng)
+    outcomes = [step(world, cfg, stream) for _ in range(steps)]
+    assert [(list(o.utility_deltas), o.assertion_index) for o in outcomes] == expected
+    # The same state of the generator: nothing was drawn past the last step.
+    assert rng.random() == next_random
+    assert any(o.sent for o in outcomes)
+    # Forced holds came up (at n=2 the one ignorant actor learns before it is drawn to send).
+    assert n == 2 or any(index is None for _, index in expected)
+    with pytest.raises(IndexError):
+        stream.next_session(world)
+
+
 def test_ignorant_sender_is_forced_to_hold():
     cfg = tiny_config(knowledge_tiers=[[1.0, 0.0]], popularity_decay=0.0)
     rng = np.random.default_rng(1)
     world = init_population(cfg, rng)
     before = world.copy()
-    out = step(world, cfg, rng)
+    out = step(world, cfg, SessionStream(cfg, rng))
     assert not out.sent and out.assertion_index is None
     assert np.array_equal(world.knowledge, before.knowledge)
     assert np.array_equal(world.trust, before.trust)
@@ -203,14 +251,14 @@ def test_ignorant_sender_is_forced_to_hold():
     ("trolls", None),
 ])
 def test_a_step_plays_its_star_once(monkeypatch, scenario, tiers):
-    calls = {"tensor": 0, "session": 0}
+    stars = {"tensor": 0, "session": 0}
 
     def counted(module, key):
         play_star = module.play_star
 
-        def wrapper(*args):
-            calls[key] += 1
-            return play_star(*args)
+        def wrapper(world, run, *args):
+            stars[key] += len(run)
+            return play_star(world, run, *args)
 
         monkeypatch.setattr(module, "play_star", wrapper)
 
@@ -219,17 +267,18 @@ def test_a_step_plays_its_star_once(monkeypatch, scenario, tiers):
     overrides = {} if tiers is None else {"knowledge_tiers": tiers}
     result = simulate(scenario_config(scenario, n_steps=300, snapshot_every=100, rng_seed=3, **overrides))
     assert result.sends > 0
-    assert calls["tensor"] + calls["session"] == 300
+    assert stars["tensor"] + stars["session"] == 300
     # Only a sender who knows nothing skips the tensor, and its hold is played alone.
-    assert (calls["session"] > 0) == (tiers is not None)
+    assert (stars["session"] > 0) == (tiers is not None)
 
 
 def test_two_actor_world_always_pairs_them():
     cfg = tiny_config(n_actors=2, n_steps=10)
     rng = np.random.default_rng(3)
     world = init_population(cfg, rng)
+    stream = SessionStream(cfg, rng)
     for _ in range(10):
-        out = step(world, cfg, rng)
+        out = step(world, cfg, stream)
         assert out.utility_deltas.keys() == {0, 1}
 
 
@@ -268,8 +317,9 @@ def test_all_knowing_agreeing_population_stays_at_one():
     world = init_population(cfg, rng)
     world.belief[:] = 1.0  # identical beliefs everywhere
     snaps = [take_snapshot(world, 0)]
+    stream = SessionStream(cfg, rng)
     for t in range(30):
-        step(world, cfg, rng)
+        step(world, cfg, stream)
         snaps.append(take_snapshot(world, t + 1))
     assert all(s.mean_abs_value == 1.0 for s in snaps)
 
@@ -294,8 +344,9 @@ def test_population_invariants_hold_at_every_snapshot():
                       ontology_belief_weight="source")
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
+    stream = SessionStream(cfg, rng)
     for t in range(cfg.n_steps):
-        step(world, cfg, rng)
+        step(world, cfg, stream)
         if t % cfg.snapshot_every == 0:
             world.validate()
             snap = take_snapshot(world, t)
@@ -305,8 +356,8 @@ def test_population_invariants_hold_at_every_snapshot():
 def test_a_run_whose_state_is_corrupted_mid_run_fails(monkeypatch):
     # No session reads the self-trust diagonal, so nothing on the way
     # notices the corruption; the range guard at the end of the run must.
-    def corrupting_step(world, cfg, rng):
-        outcome = step(world, cfg, rng)
+    def corrupting_step(world, cfg, stream):
+        outcome = step(world, cfg, stream)
         world.trust[3, 3] = 0.5
         return outcome
 
@@ -319,8 +370,8 @@ def test_a_run_whose_state_is_corrupted_mid_run_fails(monkeypatch):
 def test_a_run_whose_trust_is_written_around_the_sessions_fails(monkeypatch):
     # An in-range off-diagonal write passes every range guard; only the
     # kept reputations, which it leaves stale, show it.
-    def corrupting_step(world, cfg, rng):
-        outcome = step(world, cfg, rng)
+    def corrupting_step(world, cfg, stream):
+        outcome = step(world, cfg, stream)
         world.trust[2, 5] = 0.25
         return outcome
 

@@ -8,9 +8,11 @@ session oracle, and must equal, bit for bit, the session that
 `execute_session` plays on a copy of the world; building the tensor must
 leave the world alone, and a session must write trust only in the star's
 columns. Each cell the kernel plays must come out bit for bit the same
-whether it is played alone or along the cell axis with the others, and
-committing a tensor's row must do to the world exactly what playing that
-session does, leaving the kept reputations equal to the trust matrix's.
+whether it is played alone or along the cell axis with the others, each
+star of a run as it plays alone once the stars before it are committed,
+and committing a tensor's row must do to the world exactly what playing
+that session does, leaving the kept reputations equal to the trust
+matrix's.
 
 Three metamorphic relations need no oracle: relabelling the actors or
 the assertions leaves the tensor unchanged, and under "transferred"
@@ -112,9 +114,9 @@ def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance)
     world, sender, receivers, index, params = game
     params = dataclasses.replace(params, belief_weight_mode=mode, remembrance=remembrance)
     feasible, _, _, acts = _layout(len(receivers))
-    star = play_star(world, sender, receivers, index, params, acts)
+    [star] = play_star(world, [(sender, receivers, index)], params, acts)
     for row, cell in enumerate(feasible):
-        alone = play_star(world, sender, receivers, index, params, acts[row : row + 1])
+        [alone] = play_star(world, [(sender, receivers, index)], params, acts[row : row + 1])
         for key in ("deltas", "knowledge", "belief", "popularity", "reputation"):
             assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
         if cell:  # a send moves the trust vectors alike in every sending cell
@@ -162,6 +164,58 @@ def test_committing_a_tensor_row_equals_playing_its_session(game, mode, remembra
             assert same_bits(getattr(committed, key), getattr(played, key))
         # The kept reputations are the trust matrix's column means, bit for bit.
         assert same_bits(committed.reputation, committed.reputations())
+
+
+@st.composite
+def runs(draw):
+    """A world and a run of 1-4 disjoint stars with up to five receivers each, every rate and mode drawn."""
+    n_receivers, n_stars = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n = n_stars * (n_receivers + 1) + draw(st.integers(0, 2))
+    a_count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trust = rng.choice([0.0, 1.0, rng.uniform()], (n, n))
+    np.fill_diagonal(trust, 1.0)
+    signed = draw(st.booleans())
+    ontology = rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], (a_count, a_count)) if signed else np.eye(a_count)
+    np.fill_diagonal(ontology, 1.0)
+    world = make_world(
+        knowledge=rng.choice([0.0, 1.0, rng.uniform()], (n, a_count)),
+        belief=rng.uniform(-1, 1, (n, a_count)),
+        popularity=rng.choice([0.0, 1.0, rng.uniform()], n),
+        trust=trust,
+        personality=rng.dirichlet([1, 1, 1], n),
+        willingness=rng.choice([0.0, 1.0, rng.uniform()], n),
+        ontology=ontology,
+    )
+    params = TransferParams(
+        remembrance=draw(unit()),
+        trust_history_weight=draw(unit()),
+        popularity_decay=draw(unit()),
+        belief_weight_mode=draw(st.sampled_from(BELIEF_WEIGHT_MODES)),
+    )
+    ids = rng.permutation(n)[: n_stars * (n_receivers + 1)].reshape(n_stars, n_receivers + 1).tolist()
+    stars = [(star[0], star[1:], int(rng.integers(a_count))) for star in ids]
+    commits = [int(rng.integers(1 + (1 << n_receivers))) for _ in stars]  # the feasible row each commits
+    return world, stars, params, commits
+
+
+@PROPERTY
+@given(runs())
+def test_a_run_of_stars_plays_as_its_stars_one_at_a_time(run):
+    # Star j of a run, played in one call, is bit for bit star j played
+    # alone once the j stars before it are committed, whichever rows they commit.
+    world, stars, params, commits = run
+    acts = _layout(len(stars[0][1]))[3]
+    together = play_star(world, stars, params, acts)
+    for (sender, receivers, index), star, row in zip(stars, together, commits):
+        [alone] = play_star(world, [(sender, receivers, index)], params, acts)
+        for key in ("deltas", "knowledge", "belief", "popularity", "reputation", "trust_in_sender",
+                    "trust_in_receivers"):
+            assert same_bits(getattr(star, key), getattr(alone, key)), key
+        assert star.session == alone.session
+        send, *feedback = acts[row].tolist()
+        execute_session(world, sender, receivers, index, StrategyProfile(send, tuple(feedback), (alone, row)), params)
+    assert same_bits(world.reputation, world.reputations())
 
 
 def disagreeing_world():
@@ -222,7 +276,7 @@ def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
                        popularity=rng.uniform(0, 1, 4))
     for decay in (0.25, 0.5):
         params = TransferParams(popularity_decay=decay, belief_weight_mode="source")
-        star = play_star(world, 0, [1, 2], 1, params, [(True, True, False)])
+        [star] = play_star(world, [(0, [1, 2], 1)], params, [(True, True, False)])
         expected, mirror = replay(world, 0, [1, 2], 1, True, (True, False), params)
         assert max(abs(d - expected[p]) for d, p in zip(star.deltas[0].tolist(), (0, 1, 2))) <= EXACT
         assert np.abs(star.popularity[0] - np.array(mirror["pop"][:3])).max() <= EXACT
@@ -230,9 +284,9 @@ def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
             star.acts[0, 0] = False
     # Each row of a star whose sending rows are not consecutive plays as it does alone.
     rows = [(True, True, False), (False, False, False), (True, False, True)]
-    star = play_star(world, 0, [1, 2], 1, params, rows)
+    [star] = play_star(world, [(0, [1, 2], 1)], params, rows)
     for row, flags in enumerate(rows):
-        alone = play_star(world, 0, [1, 2], 1, params, [flags])
+        [alone] = play_star(world, [(0, [1, 2], 1)], params, [flags])
         for key in ("deltas", "knowledge", "belief", "popularity", "reputation"):
             assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
 
