@@ -1,6 +1,5 @@
 """Population setup, the random-session loop, and snapshot metrics."""
 
-import collections
 import math
 from dataclasses import dataclass, fields, asdict
 
@@ -8,7 +7,7 @@ import numpy as np
 
 # `bench/worker.py` wraps `build_payoff_tensor`, `select_profile`, `execute_session`,
 # `take_snapshot` and `step` in this module by name, so each stays a module global;
-# `simulate` and `step` call the last four through them.
+# `simulate`, `sessions` and `step` call the last four through them.
 from .game import StrategyProfile, build_payoff_tensor, build_payoff_tensors, select_profile
 from .knowledge import Ontology
 from .transfer import BELIEF_WEIGHT_MODES, SessionOutcome, TransferParams, execute_session
@@ -211,96 +210,67 @@ def init_population(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
     )
 
 
-class SessionStream:
-    """A run's sessions in step order, drawn from its generator and played a run of disjoint stars ahead.
+def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
+    """A run's sessions in step order, each (sender, receivers, index, profile) for `execute_session`.
 
     Each session is drawn as it always was: the sender uniformly, then
     n_receivers distinct others (draw order is the friend-list order), then
-    an assertion uniformly among the sender's known ones; a sender who
-    knows nothing draws no assertion and is forced to hold. When no drawn
-    session is waiting, the stream draws on until the next star shares an
-    actor with one already drawn or would take the run's largest array
-    past `RUN_BYTES`, a sender knows nothing, or the sessions run out, and
-    plays the disjoint stars in one `play_star` call
-    (`build_payoff_tensors`). A star's known assertions are read from its
-    sender's row as the ticks of the sessions before it leave it. A star
-    that ends a run keeps its sender and receivers and draws its assertion
-    once the stars before it are committed, which draws nothing, so the
-    generator is read exactly as one session per step reads it, and never
-    past the last session.
+    an assertion uniformly among the sender's known ones, read from its row
+    as the ticks of the sessions before it leave it. Disjoint stars gather
+    into a run, played in one `build_payoff_tensors` call before a star that
+    shares an actor with it or would take its largest array past
+    `RUN_BYTES`, before a sender who knows nothing (forced to hold, with
+    index None), and after the last draw. Each star's profile is selected
+    as its step takes it. A star that ends a run draws its assertion only
+    once the generator resumes, after the run is committed, so the
+    generator is read exactly as one session per step reads it.
 
-    A run played ahead holds state that is exact only while nothing but
-    `step`, one session at a time and in order, changes the world.
+    A run holds state that is exact only while nothing but `step`, one
+    session at a time and in order, changes the world.
     """
+    n, n_receivers, params = world.n_actors, cfg.n_receivers, cfg.transfer_params()
+    root = np.sqrt(params.remembrance)
+    # A star's share of the largest array a run allocates: its cells' rows, or its trust columns.
+    per_star = 8 * (n_receivers + 1) * max(n, (2 + (1 << n_receivers)) * world.n_assertions)
+    most = max(1, RUN_BYTES // per_star)
 
-    def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
-        self.cfg, self.rng = cfg, rng
-        self.left = cfg.n_steps  # senders not yet drawn
-        self.ahead = collections.deque()  # (sender, receivers, index, tensor); a forced hold has no tensor
-        self.held = None  # the sender and receivers of the star that ended the last run
-
-    def next_session(self, world: World) -> tuple:
-        """The next step's (sender, receivers, index, tensor), played on `world` as it stands."""
-        if not self.ahead:
-            self._play_ahead(world)
-        return self.ahead.popleft()
-
-    def _play_ahead(self, world: World) -> None:
-        rng, n, n_receivers = self.rng, world.n_actors, self.cfg.n_receivers
-        params = self.cfg.transfer_params()
-        root = np.sqrt(params.remembrance)
-        # A star's share of the largest array a run allocates: its cells' rows, or its trust columns.
-        per_star = 8 * (n_receivers + 1) * max(n, (2 + (1 << n_receivers)) * world.n_assertions)
-        most = max(1, RUN_BYTES // per_star)
-        stars, actors, hold = [], set(), None
-        while self.held or self.left:
-            if self.held:
-                (sender, receivers), self.held = self.held, None
-            else:
-                self.left -= 1
-                sender = int(rng.integers(n))
-                # Draw among the n - 1 others by position, then skip over the sender:
-                # this consumes the generator exactly as drawing from the id array would.
-                # For one receiver, `choice` without replacement makes exactly one bounded draw.
-                if n_receivers == 1:
-                    picks = [int(rng.integers(n - 1))]
-                else:
-                    picks = rng.choice(n - 1, size=n_receivers, replace=False).tolist()
-                receivers = [r + (r >= sender) for r in picks]
-                if sender in actors or actors.intersection(receivers) or len(stars) == most:
-                    self.held = sender, receivers
-                    break
-            knowledge = world.knowledge[sender]
-            if params.remembrance != 1.0:
-                for _ in stars:  # the forgetting ticks of the sessions before it, one product each
-                    knowledge = knowledge * root
-            known = (knowledge > 0.0).nonzero()[0]
-            if known.size == 0:
-                hold = sender, receivers, None, None
-                break
-            stars.append((sender, receivers, int(known[rng.integers(known.size)])))  # as rng.choice(known) draws
-            actors.add(sender)
-            actors.update(receivers)
+    def played(stars):
         if stars:
-            tensors = build_payoff_tensors(world, stars, params)
-            self.ahead.extend((*star, tensor) for star, tensor in zip(stars, tensors))
-        if hold:
-            self.ahead.append(hold)
+            for star, tensor in zip(stars, build_payoff_tensors(world, stars, params)):
+                yield (*star, select_profile(tensor))
+
+    stars, actors = [], set()
+    for _ in range(cfg.n_steps):
+        sender = int(rng.integers(n))
+        # Draw among the n - 1 others by position, then skip over the sender:
+        # this consumes the generator exactly as drawing from the id array would.
+        # For one receiver, `choice` without replacement makes exactly one bounded draw.
+        if n_receivers == 1:
+            picks = [int(rng.integers(n - 1))]
+        else:
+            picks = rng.choice(n - 1, size=n_receivers, replace=False).tolist()
+        receivers = [r + (r >= sender) for r in picks]
+        if len(stars) == most or not actors.isdisjoint([sender, *receivers]):
+            yield from played(stars)
+            stars, actors = [], set()
+        knowledge = world.knowledge[sender]
+        if params.remembrance != 1.0:
+            for _ in stars:  # the forgetting ticks of the sessions before it, one product each
+                knowledge = knowledge * root
+        known = (knowledge > 0.0).nonzero()[0]
+        if known.size == 0:
+            yield from played(stars)
+            stars, actors = [], set()
+            yield sender, receivers, None, StrategyProfile.all_hold(n_receivers)
+            continue
+        stars.append((sender, receivers, int(known[rng.integers(known.size)])))  # as rng.choice(known) draws
+        actors.update((sender, *receivers))
+    yield from played(stars)
 
 
-def step(world: World, cfg: ScenarioConfig, stream: SessionStream) -> SessionOutcome:
-    """One simulation step: take the next session from the stream, solve its game, play it out.
-
-    The stream draws the sessions and plays their stars ahead; the step
-    selects the profile on the star's own tensor and commits that star's
-    row, so only here does the world change. A sender who knows nothing
-    is forced to hold, and its session is played alone.
-    """
-    sender, receivers, index, tensor = stream.next_session(world)
-    params = cfg.transfer_params()
-    if tensor is None:
-        return execute_session(world, sender, receivers, None, StrategyProfile.all_hold(cfg.n_receivers), params)
-    return execute_session(world, sender, receivers, index, select_profile(tensor), params)
+def step(world: World, cfg: ScenarioConfig, stream) -> SessionOutcome:
+    """One simulation step: commit the next session of `sessions(world, cfg, rng)` to the world."""
+    return execute_session(world, *next(stream), cfg.transfer_params())
 
 
 @dataclass
@@ -332,7 +302,7 @@ def simulate(cfg: ScenarioConfig) -> RunResult:
     """Run a full scenario and return snapshots plus action counters."""
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
-    stream = SessionStream(cfg, rng)
+    stream = sessions(world, cfg, rng)
     snapshots = [take_snapshot(world, 0)]
     sends = responses = 0
     for t in range(1, cfg.n_steps + 1):

@@ -68,7 +68,7 @@ class Ontology:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("ontology matrix must be square")
         m = clamped_array(m, -1.0, 1.0)
-        if not np.allclose(np.diag(m), 1.0, atol=DRIFT_TOLERANCE):
+        if not np.allclose(np.diag(m), 1.0, rtol=0, atol=DRIFT_TOLERANCE):
             raise ValueError("ontology diagonal must be all ones")
         np.fill_diagonal(m, 1.0)
         m.setflags(write=False)

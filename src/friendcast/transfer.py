@@ -183,7 +183,7 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     j successive products, as j commits make them, not as a power. `world`
     is only read, and a run played ahead stays exact only while nothing
     but its stars' commits, one per step and in order, changes the world
-    (`harness.SessionStream`). Every cell is, element for element, the
+    (`harness.sessions`). Every cell is, element for element, the
     arithmetic of that session on the whole world, so its bits depend
     neither on the other cells nor on the other stars.
 
@@ -217,8 +217,7 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
         if params.remembrance != 1.0:
             knowledge[later:] *= root
             belief[later:] *= root
-        if params.popularity_decay != 0.0:
-            popularity[later:] *= 1.0 - params.popularity_decay
+        popularity[later:] *= 1.0 - params.popularity_decay
     cell_knowledge = knowledge[:, None].repeat(len(acts), axis=1)
     cell_belief = belief[:, None].repeat(len(acts), axis=1)
     cell_popularity = popularity[:, None].repeat(len(acts), axis=1)

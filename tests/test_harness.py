@@ -11,9 +11,9 @@ from friendcast import game, harness, transfer
 from friendcast.harness import (
     ConfigError,
     ScenarioConfig,
-    SessionStream,
     _tier_counts,
     init_population,
+    sessions,
     simulate,
     step,
     take_snapshot,
@@ -157,7 +157,7 @@ def test_step_is_deterministic_given_seed():
     def trajectory():
         rng = np.random.default_rng(cfg.rng_seed)
         world = init_population(cfg, rng)
-        stream = SessionStream(cfg, rng)
+        stream = sessions(world, cfg, rng)
         outcomes = [step(world, cfg, stream) for _ in range(20)]
         return world, outcomes
 
@@ -222,7 +222,7 @@ def test_the_stream_draws_what_one_draw_per_step_draws(n, n_receivers, steps, re
     expected, next_random = per_step_sessions(cfg, steps)
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
-    stream = SessionStream(cfg, rng)
+    stream = sessions(world, cfg, rng)
     outcomes = [step(world, cfg, stream) for _ in range(steps)]
     assert [(list(o.utility_deltas), o.assertion_index) for o in outcomes] == expected
     # The same state of the generator: nothing was drawn past the last step.
@@ -230,8 +230,8 @@ def test_the_stream_draws_what_one_draw_per_step_draws(n, n_receivers, steps, re
     assert any(o.sent for o in outcomes)
     # Forced holds came up (at n=2 the one ignorant actor learns before it is drawn to send).
     assert n == 2 or any(index is None for _, index in expected)
-    with pytest.raises(IndexError):
-        stream.next_session(world)
+    with pytest.raises(StopIteration):
+        step(world, cfg, stream)
 
 
 def test_ignorant_sender_is_forced_to_hold():
@@ -239,7 +239,7 @@ def test_ignorant_sender_is_forced_to_hold():
     rng = np.random.default_rng(1)
     world = init_population(cfg, rng)
     before = world.copy()
-    out = step(world, cfg, SessionStream(cfg, rng))
+    out = step(world, cfg, sessions(world, cfg, rng))
     assert not out.sent and out.assertion_index is None
     assert np.array_equal(world.knowledge, before.knowledge)
     assert np.array_equal(world.trust, before.trust)
@@ -272,11 +272,34 @@ def test_a_step_plays_its_star_once(monkeypatch, scenario, tiers):
     assert (stars["session"] > 0) == (tiers is not None)
 
 
+@pytest.mark.parametrize("cfg, most, at_most", [
+    # One star's trust columns take 16 KB at n=1000; uncapped, runs reach 49 stars.
+    pytest.param(ScenarioConfig(n_actors=1000, n_steps=1000, rng_seed=1), 4, 247, id="n1000"),
+    pytest.param(scenario_config("trolls", n_receivers=5, n_steps=1000, rng_seed=1), 4, None, id="N5"),
+    # One star's cells take 83 KB at N=7, past the cap on their own.
+    pytest.param(scenario_config("trolls", n_receivers=7, n_steps=300, rng_seed=1), 1, 300, id="N7"),
+])
+def test_a_run_of_stars_is_capped_by_its_largest_array(monkeypatch, cfg, most, at_most):
+    assert harness.RUN_BYTES == 1 << 16
+    runs = []
+    play_star = game.play_star
+
+    def wrapper(world, run, *args):
+        runs.append(len(run))
+        return play_star(world, run, *args)
+
+    monkeypatch.setattr(game, "play_star", wrapper)
+    simulate(cfg)
+    assert max(runs) == most
+    if at_most is not None:
+        assert runs.count(most) == at_most
+
+
 def test_two_actor_world_always_pairs_them():
     cfg = tiny_config(n_actors=2, n_steps=10)
     rng = np.random.default_rng(3)
     world = init_population(cfg, rng)
-    stream = SessionStream(cfg, rng)
+    stream = sessions(world, cfg, rng)
     for _ in range(10):
         out = step(world, cfg, stream)
         assert out.utility_deltas.keys() == {0, 1}
@@ -317,7 +340,7 @@ def test_all_knowing_agreeing_population_stays_at_one():
     world = init_population(cfg, rng)
     world.belief[:] = 1.0  # identical beliefs everywhere
     snaps = [take_snapshot(world, 0)]
-    stream = SessionStream(cfg, rng)
+    stream = sessions(world, cfg, rng)
     for t in range(30):
         step(world, cfg, stream)
         snaps.append(take_snapshot(world, t + 1))
@@ -344,7 +367,7 @@ def test_population_invariants_hold_at_every_snapshot():
                       ontology_belief_weight="source")
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
-    stream = SessionStream(cfg, rng)
+    stream = sessions(world, cfg, rng)
     for t in range(cfg.n_steps):
         step(world, cfg, stream)
         if t % cfg.snapshot_every == 0:

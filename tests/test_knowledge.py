@@ -178,6 +178,10 @@ def test_ontology_validation():
     assert np.array_equal(identity.m, np.eye(4))
     with pytest.raises(ValueError):
         Ontology([[1.0, 0.5], [0.5, 0.2]])  # diagonal not 1
+    with pytest.raises(ValueError, match="diagonal"):
+        Ontology([[0.99999, 0.0], [0.0, 1.0]])  # within numpy's default rtol, not DRIFT_TOLERANCE
+    near = Ontology([[1 - 1e-12, 0.0], [0.0, 1.0]])  # within DRIFT_TOLERANCE: stored as exactly 1
+    assert near.m[0, 0] == 1.0
     with pytest.raises(DriftError):
         Ontology([[1.0, 2.0], [0.0, 1.0]])  # entry out of range
     asym = Ontology([[1.0, -1.0], [0.3, 1.0]])
