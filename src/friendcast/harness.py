@@ -16,13 +16,6 @@ from .world import World
 HISTOGRAM_BINS = 20
 _BIN_EDGES = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
 
-# The most a run of stars may allocate for its largest array, half glibc's
-# default heap-trim threshold. Above it, freeing a run's arrays can shrink the
-# heap that the next run regrows, faulting its pages in again: uncapped,
-# `tools/faults.py` read 16 minor faults per step at N=7, where one star's
-# cells take 83 KB, and at 128 KiB 0.02 per step at n=1000, against 0.005 here.
-RUN_BYTES = 1 << 16
-
 
 class ConfigError(ValueError):
     """A scenario configuration failed validation."""
@@ -217,22 +210,19 @@ def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
     n_receivers distinct others (draw order is the friend-list order), then
     an assertion uniformly among the sender's known ones, read from its row
     as the ticks of the sessions before it leave it. Disjoint stars gather
-    into a run, played in one `build_payoff_tensors` call before a star that
-    shares an actor with it or would take its largest array past
-    `RUN_BYTES`, before a sender who knows nothing (forced to hold, with
-    index None), and after the last draw. Each star's profile is selected
-    as its step takes it. A star that ends a run draws its assertion only
-    once the generator resumes, after the run is committed, so the
-    generator is read exactly as one session per step reads it.
+    into a run, played in one `build_payoff_tensors` call, and a run ends
+    only where the next star must wait: before a star that shares an actor
+    with it, before a sender who knows nothing (forced to hold, with index
+    None), and after the last draw. Each star's profile is selected as its
+    step takes it. A star that ends a run draws its assertion only once the
+    generator resumes, after the run is committed, so the generator is read
+    exactly as one session per step reads it.
 
     A run holds state that is exact only while nothing but `step`, one
     session at a time and in order, changes the world.
     """
     n, n_receivers, params = world.n_actors, cfg.n_receivers, cfg.transfer_params()
     root = np.sqrt(params.remembrance)
-    # A star's share of the largest array a run allocates: its cells' rows, or its trust columns.
-    per_star = 8 * (n_receivers + 1) * max(n, (2 + (1 << n_receivers)) * world.n_assertions)
-    most = max(1, RUN_BYTES // per_star)
 
     def played(stars):
         if stars:
@@ -250,7 +240,7 @@ def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
         else:
             picks = rng.choice(n - 1, size=n_receivers, replace=False).tolist()
         receivers = [r + (r >= sender) for r in picks]
-        if len(stars) == most or not actors.isdisjoint([sender, *receivers]):
+        if not actors.isdisjoint([sender, *receivers]):
             yield from played(stars)
             stars, actors = [], set()
         knowledge = world.knowledge[sender]

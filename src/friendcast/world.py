@@ -25,7 +25,8 @@ def utility_of(weights, knowledge, belief, reputation, popularity) -> np.ndarray
     Leading axes of the state arrays, before the actor axis, index stars
     and cells; the weights' leading axes broadcast against them.
     """
-    k = np.abs(knowledge * belief).sum(axis=-1) / knowledge.shape[-1]  # rounds as np.mean does
+    product = knowledge * belief  # the kernel's largest temporary: made once, not twice
+    k = np.abs(product, out=product).sum(axis=-1) / knowledge.shape[-1]  # rounds as np.mean does
     return weights[..., 0] * k + weights[..., 1] * reputation + weights[..., 2] * popularity
 
 

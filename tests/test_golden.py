@@ -56,6 +56,8 @@ CASES = {
     ),
     # Five receivers comment in a chain across 2^5 feedback cells.
     "trolls-N5": dict(scenario="trolls", seed=8, config={"n_receivers": 5}),
+    # Seven receivers: a star's cells are the largest a run holds.
+    "trolls-N7": dict(scenario="trolls", seed=7, config={"n_receivers": 7}),
     # The bench's pop1000-forget shape: a 1,000-actor table, many of whose
     # actors never play and keep exact 0.0 popularities and 0.5 reputations.
     "pop1000-forget": dict(scenario=None, seed=9, config={"n_actors": 1000, "remembrance": 0.999}),
@@ -99,6 +101,11 @@ GOLDEN = {
         "snapshots.csv": "135a682fdf00689f189e83bc1279f91df68872f25785eb3f42b3dcbff99ea9c0",
         "summary.csv": "118f9f33e3e13a17c1ffb56aca76e0ff8546eda3f00e9f0694a9694e7a4bc96d",
         "actors.csv": "d1c67154149d6dbbe63ef7263cef616b956aa642bb8b7b0472724dfcf6936cb8",
+    },
+    "trolls-N7": {
+        "snapshots.csv": "a11f691fd691dca660e9f522e0c7a88c8dabf8687196f85dcf9e2546cfd24e31",
+        "summary.csv": "89f8c75b2a9d23f3ef9612c450c332e761f83a6e490046ead601a9e0b062bbad",
+        "actors.csv": "99cae89c6f4dc0164fc3994600b781d01f070c3b74df7190791ff305e47529d6",
     },
     "trolls-signed-ontology-N3": {
         "snapshots.csv": "bc0b2989ec470bc1b321c22c298ccca084eac21e0e75bbb434689a9dbb38ee9f",

@@ -191,7 +191,7 @@ def test_assertion_draw_consumes_the_generator_as_choice_does(size, one_receiver
 def per_step_sessions(cfg, steps):
     """A run's sessions drawn and played one step at a time, with `rng.choice` as the golden runs drew them.
 
-    Returns each step's (actors, index), sender first, and the generator's next `random()`.
+    Returns each step's (actors, index), sender first, the generator's next `random()` and the world.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
@@ -208,7 +208,7 @@ def per_step_sessions(cfg, steps):
             index, profile = None, game.StrategyProfile.all_hold(cfg.n_receivers)
         transfer.execute_session(world, sender, receivers, index, profile, params)
         sessions.append(([sender, *receivers], index))
-    return sessions, rng.random()
+    return sessions, rng.random(), world
 
 
 @pytest.mark.parametrize("n, n_receivers, steps", [(2, 1, 30), (3, 2, 30), (8, 1, 60), (100, 5, 120), (1000, 1, 300)])
@@ -219,7 +219,7 @@ def test_the_stream_draws_what_one_draw_per_step_draws(n, n_receivers, steps, re
     # later stars of a run know less than the world's rows show.
     cfg = tiny_config(n_actors=n, n_receivers=n_receivers, n_steps=steps, remembrance=remembrance,
                       knowledge_tiers=[[0.25, 0.0], [0.75, 0.9]], rng_seed=11)
-    expected, next_random = per_step_sessions(cfg, steps)
+    expected, next_random, expected_world = per_step_sessions(cfg, steps)
     rng = np.random.default_rng(cfg.rng_seed)
     world = init_population(cfg, rng)
     stream = sessions(world, cfg, rng)
@@ -227,6 +227,9 @@ def test_the_stream_draws_what_one_draw_per_step_draws(n, n_receivers, steps, re
     assert [(list(o.utility_deltas), o.assertion_index) for o in outcomes] == expected
     # The same state of the generator: nothing was drawn past the last step.
     assert rng.random() == next_random
+    # The same world, bit for bit, however the stars were grouped into runs.
+    for name in ("knowledge", "belief", "popularity", "trust", "reputation"):
+        assert getattr(world, name).tobytes() == getattr(expected_world, name).tobytes(), name
     assert any(o.sent for o in outcomes)
     # Forced holds came up (at n=2 the one ignorant actor learns before it is drawn to send).
     assert n == 2 or any(index is None for _, index in expected)
@@ -272,27 +275,37 @@ def test_a_step_plays_its_star_once(monkeypatch, scenario, tiers):
     assert (stars["session"] > 0) == (tiers is not None)
 
 
-@pytest.mark.parametrize("cfg, most, at_most", [
-    # One star's trust columns take 16 KB at n=1000; uncapped, runs reach 49 stars.
-    pytest.param(ScenarioConfig(n_actors=1000, n_steps=1000, rng_seed=1), 4, 247, id="n1000"),
-    pytest.param(scenario_config("trolls", n_receivers=5, n_steps=1000, rng_seed=1), 4, None, id="N5"),
-    # One star's cells take 83 KB at N=7, past the cap on their own.
-    pytest.param(scenario_config("trolls", n_receivers=7, n_steps=300, rng_seed=1), 1, 300, id="N7"),
+@pytest.mark.parametrize("cfg, holds", [
+    pytest.param(ScenarioConfig(n_actors=1000, n_steps=1000, rng_seed=1), False, id="n1000"),
+    pytest.param(scenario_config("trolls", n_receivers=7, n_steps=300, rng_seed=1), False, id="N7"),
+    # Half the senders start out knowing nothing, so forced holds end runs too.
+    pytest.param(scenario_config("experts", knowledge_tiers=[[0.5, 0.0], [0.5, 0.9]], n_steps=300, rng_seed=3),
+                 True, id="holds"),
 ])
-def test_a_run_of_stars_is_capped_by_its_largest_array(monkeypatch, cfg, most, at_most):
-    assert harness.RUN_BYTES == 1 << 16
-    runs = []
-    play_star = game.play_star
+def test_a_run_of_stars_ends_only_where_the_next_star_must_wait(monkeypatch, cfg, holds):
+    calls = []  # in order: each run's stars as actor sets, or None for a forced hold played alone
 
-    def wrapper(world, run, *args):
-        runs.append(len(run))
-        return play_star(world, run, *args)
+    def recorded(module, hold):
+        play_star = module.play_star
 
-    monkeypatch.setattr(game, "play_star", wrapper)
+        def wrapper(world, run, *args):
+            calls.append(None if hold else [{sender, *receivers} for sender, receivers, _ in run])
+            return play_star(world, run, *args)
+
+        monkeypatch.setattr(module, "play_star", wrapper)
+
+    recorded(game, False)
+    recorded(transfer, True)
     simulate(cfg)
-    assert max(runs) == most
-    if at_most is not None:
-        assert runs.count(most) == at_most
+    runs = [run for run in calls if run is not None]
+    assert sum(map(len, runs)) + calls.count(None) == cfg.n_steps
+    assert (None in calls) == holds
+    assert max(map(len, runs)) > 1
+    for run in runs:  # the stars of a run share no actor
+        assert len(set().union(*run)) == sum(map(len, run))
+    for earlier, later in zip(calls, calls[1:]):
+        if earlier is not None and later is not None:  # nothing but a collision ends a run
+            assert not later[0].isdisjoint(set().union(*earlier))
 
 
 def test_two_actor_world_always_pairs_them():
