@@ -246,9 +246,10 @@ def cmd_sweep(args) -> int:
             run_dir = out_root / f"{args.vary}={value}_seed={seed}"
             tasks.append((f"{scenario}[{args.vary}={value}]", cfg, run_dir, args.per_actor))
 
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(tasks))  # a pool starts all its workers at the first task
+    if jobs > 1:
         import concurrent.futures  # imports logging, which a plain run does not need
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_attempt, tasks))
     else:
         results = [_attempt(t) for t in tasks]

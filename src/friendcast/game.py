@@ -8,13 +8,14 @@ order, so cell order is the lexicographic order of (send, *feedback).
 Player p's unilateral deviation is `cell ^ (1 << (N - p))`.
 
 Payoffs are the utility changes a hypothetical session would cause, one
-row per cell. The star-local session kernel (`transfer.play_star`) plays
-the action flags of the feasible cells, 0 and 2^N ... 2^(N+1)-1, along one
-cell axis on a copy of the star's own state, and never copies the world.
-Commenting on an unpublished assertion is infeasible: every hold row
-(sender bit 0) repeats the all-hold row 0, so a deviation onto one needs
-no special case. The selected profile carries its row of the played star,
-which `transfer.execute_session` commits without playing the session again.
+row per feasible cell, in cell order: 0 and 2^N ... 2^(N+1)-1, so 2^N + 1
+rows. Commenting on an unpublished assertion is infeasible, and every hold
+cell (sender bit 0) pays the all-hold row 0. The star-local session kernel
+(`transfer.play_star`) plays the action flags of the feasible cells along
+one cell axis on a copy of the star's own state, never copying the world,
+and its deltas are the tensor's payoffs as they stand. The selected
+profile carries its row of the played star, which
+`transfer.execute_session` commits without playing the session again.
 `build_payoff_tensors` builds the tensors of a run of disjoint stars from
 one such call.
 """
@@ -42,15 +43,15 @@ class StrategyProfile:
 
     @property
     def cell(self) -> int:
-        """This profile's payoff row: the sender's bit, then each receiver's."""
+        """This profile's cell: the sender's bit, then each receiver's."""
         cell = int(self.send)
         for f in self.feedback:
             cell = cell << 1 | int(f)
         return cell
 
     @staticmethod
-    def from_cell(cell: int, n_receivers: int, played=None) -> "StrategyProfile":
-        return StrategyProfile(*_flags(n_receivers)[cell], played)
+    def from_cell(cell: int, n_receivers: int) -> "StrategyProfile":
+        return StrategyProfile(*_flags(n_receivers)[cell])
 
     @staticmethod
     def all_hold(n_receivers: int) -> "StrategyProfile":
@@ -65,22 +66,22 @@ class StrategyProfile:
 
 @functools.lru_cache(maxsize=None)
 def _layout(n_receivers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The feasible cells, the flat payoff index of their deviations, each cell's played row, and the flags.
+    """The feasible cells, the flat payoff index of their deviations, each cell's row, and the flags.
 
-    Entry (row, p) of the second array indexes the flattened payoffs at
-    cell `feasible[row] ^ (1 << (N - p))`, column p. The third maps every
-    cell to its row among the feasible cells: each hold cell to row 0, the
-    all-hold. Row r of the fourth is cell `feasible[r]` as the
+    Row r is cell `feasible[r]`. Entry (r, p) of the second array indexes
+    the flattened payoffs at the row of cell `feasible[r] ^ (1 << (N - p))`,
+    column p. The third maps every cell to its row: each hold cell to row
+    0, the all-hold. Row r of the fourth is cell `feasible[r]` as the
     (send, *feedback) flags that `transfer.play_star` plays.
     """
     players = np.arange(n_receivers + 1)
     feasible = np.r_[0, (1 << n_receivers) : (2 << n_receivers)]
-    deviations = (feasible[:, None] ^ (1 << (n_receivers - players))) * (n_receivers + 1) + players
-    played = np.r_[np.zeros(1 << n_receivers, dtype=int), 1 : len(feasible)]
+    rows = np.r_[np.zeros(1 << n_receivers, dtype=int), 1 : len(feasible)]
+    deviations = rows[feasible[:, None] ^ (1 << (n_receivers - players))] * (n_receivers + 1) + players
     acts = (feasible[:, None] >> (n_receivers - players) & 1).astype(bool)
-    for shared in (feasible, deviations, played, acts):  # cached for every caller: read-only
+    for shared in (feasible, deviations, rows, acts):  # cached for every caller: read-only
         shared.setflags(write=False)
-    return feasible, deviations, played, acts
+    return feasible, deviations, rows, acts
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,13 +92,17 @@ def _flags(n_receivers: int) -> tuple[tuple[bool, tuple[bool, ...]], ...]:
 
 @dataclass(eq=False)
 class PayoffTensor:
-    """Utility deltas for every cell; player 0 is the sender, then receivers.
+    """Utility deltas for every feasible cell; player 0 is the sender, then receivers.
 
     A tensor is its dense payoffs plus, when played, its star, which names the session.
     """
 
-    payoffs: np.ndarray  # (2^(N+1), N+1), indexed by cell
-    star: StarCells | None = field(default=None, repr=False)  # the feasible cells, when played
+    payoffs: np.ndarray  # (2^N + 1, N+1), one row per feasible cell in cell order
+    star: StarCells | None = field(default=None, repr=False)  # whose deltas the payoffs are, when played
+
+    def __post_init__(self):
+        if self.payoffs.ndim != 2 or len(self.payoffs) != (1 << self.n_receivers) + 1:
+            raise ValueError(f"payoffs of shape {self.payoffs.shape} are not (2^N + 1, N + 1)")
 
     @property
     def n_receivers(self) -> int:
@@ -106,12 +111,12 @@ class PayoffTensor:
     def payoff(self, profile: StrategyProfile) -> tuple[float, ...]:
         if len(profile.feedback) != self.n_receivers:
             raise ValueError("profile length does not match the receiver list")
-        return tuple(self.payoffs[profile.cell].tolist())
+        return tuple(self.payoffs[_layout(self.n_receivers)[2][profile.cell]].tolist())
 
     def format_table(self) -> str:
-        """Plain-text dump: one profile per line with its payoff vector."""
+        """Plain-text dump: one profile per line, every cell, with its payoff vector."""
         lines = []
-        for cell, row in enumerate(self.payoffs.tolist()):
+        for cell, row in enumerate(self.payoffs[_layout(self.n_receivers)[2]].tolist()):
             profile = StrategyProfile.from_cell(cell, self.n_receivers)
             actions = "S" if profile.send else "-"
             actions += "".join("F" if f else "-" for f in profile.feedback)
@@ -127,7 +132,7 @@ def build_payoff_tensor(
     index: int,
     params: TransferParams,
 ) -> PayoffTensor:
-    """Play the feasible cells on the star's state and expand them to every cell.
+    """Play the feasible cells on the star's state; their deltas are the payoffs.
 
     Forgetting and idle decay run identically inside every hypothetical
     session, so differences between cells isolate the action choices. The
@@ -144,25 +149,25 @@ def build_payoff_tensors(world: World, stars, params: TransferParams) -> list[Pa
     Star j's tensor is the one `build_payoff_tensor` builds once the j
     sessions before it are committed, bit for bit (`play_star`).
     """
-    _, _, played, acts = _layout(len(stars[0][1]))
-    return [PayoffTensor(star.deltas.take(played, axis=0), star) for star in play_star(world, stars, params, acts)]
+    acts = _layout(len(stars[0][1]))[3]
+    return [PayoffTensor(star.deltas, star) for star in play_star(world, stars, params, acts)]
 
 
 def _stable(tensor: PayoffTensor) -> np.ndarray:
-    """The feasible cells where no player gains strictly by switching its own action.
+    """The rows where no player gains strictly by switching its own action.
 
     A deviation gains when its payoff is greater, which for doubles is
     exactly when the regret fallback's `x - y` is positive; a NaN gains
     nothing either way.
     """
-    feasible, deviations, _, _ = _layout(tensor.n_receivers)
     payoffs = tensor.payoffs
-    return feasible[~(payoffs.take(deviations) > payoffs.take(feasible, axis=0)).any(axis=1)]
+    return (~(payoffs.take(_layout(tensor.n_receivers)[1]) > payoffs).any(axis=1)).nonzero()[0]
 
 
 def find_pure_nash(tensor: PayoffTensor) -> list[StrategyProfile]:
     """All feasible profiles where no single player strictly gains by switching."""
-    return [StrategyProfile.from_cell(int(c), tensor.n_receivers) for c in _stable(tensor)]
+    cells = _layout(tensor.n_receivers)[0][_stable(tensor)]
+    return [StrategyProfile.from_cell(int(cell), tensor.n_receivers) for cell in cells]
 
 
 def select_profile(tensor: PayoffTensor) -> StrategyProfile:
@@ -178,17 +183,16 @@ def select_profile(tensor: PayoffTensor) -> StrategyProfile:
     hand-built tensor's carries none.
     """
     n_receivers = tensor.n_receivers
+    feasible, deviations, _, _ = _layout(n_receivers)
     stable = _stable(tensor)
     if len(stable):
-        cell = stable[tensor.payoffs[stable, 0].argmax()]
+        row = int(stable[tensor.payoffs[stable, 0].argmax()])
     else:
-        feasible, deviations, _, _ = _layout(n_receivers)
-        gains = tensor.payoffs.take(deviations) - tensor.payoffs.take(feasible, axis=0)
+        gains = tensor.payoffs.take(deviations) - tensor.payoffs
         # Summed player by player from 0.0, as a Python loop over players
         # would: numpy's row sum groups terms differently and can flip a tie.
         regret = 0.0
         for gain in np.maximum(gains, 0.0).T:
             regret = regret + gain
-        cell = feasible[np.argmin(regret)]
-    played = None if tensor.star is None else (tensor.star, int(_layout(n_receivers)[2][cell]))
-    return StrategyProfile(*_flags(n_receivers)[cell], played)
+        row = int(np.argmin(regret))
+    return StrategyProfile(*_flags(n_receivers)[feasible[row]], None if tensor.star is None else (tensor.star, row))

@@ -14,6 +14,8 @@ from .transfer import BELIEF_WEIGHT_MODES, SessionOutcome, TransferParams, execu
 from .world import World
 
 HISTOGRAM_BINS = 20
+# A star's game has 2^(N+1) profiles, and one tensor build at N = 12 peaks near 20 MB.
+MAX_RECEIVERS = 12
 _BIN_EDGES = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
 
 
@@ -81,6 +83,8 @@ class ScenarioConfig:
             raise ConfigError("need at least one assertion")
         if not 1 <= self.n_receivers < self.n_actors:
             raise ConfigError("n_receivers must be >= 1 and below n_actors")
+        if self.n_receivers > MAX_RECEIVERS:
+            raise ConfigError(f"n_receivers={self.n_receivers} is above {MAX_RECEIVERS}: a game has 2^(N+1) profiles")
         if self.n_steps < 0 or self.snapshot_every < 1:
             raise ConfigError("n_steps must be >= 0 and snapshot_every >= 1")
         if self.rng_seed < 0:

@@ -37,8 +37,8 @@ the one place that checks a star. A step plays its star once: the payoff
 tensor plays every feasible cell, and `execute_session` commits the
 selected row. Stars that share no actor play in one call along a leading
 star axis, each as it plays once the stars before it are committed.
-An extra row after the cells, the star before the session, gives every
-cell's deltas in one utility pass; both trust updates are one call on the
+A star's utility before the session is taken once, and a cell's deltas
+are its utility less that; both trust updates are one call on the
 stacked pair of trust vectors, gathered and written back with one index
 pair. "Source" comments are one chain over the whole cell axis: each
 receiver in turn sways the sender's belief in every row, kept only where
@@ -47,10 +47,7 @@ responder's popularity in one pass.
 
 Playing a star takes many numpy calls on arrays of a few elements, so
 their count, not the arithmetic, sets its cost, and a run of stars pays
-it about once. What the rows of flags
-alone decide is planned once per pattern and idle-decay rate and shared,
-read-only, by every later call: the flags with the star before's row, the
-sending rows as an index and the idle-decay multipliers.
+it about once.
 """
 
 from __future__ import annotations
@@ -113,7 +110,7 @@ def trust_update(t_old, b_sender, b_receiver, history_weight: float):
 
 @dataclass
 class StarCells:
-    """Outcome of hypothetical sessions on a star, one row per cell played.
+    """Outcome of hypothetical sessions on a star, one row per cell played, in the order played.
 
     Within a cell, entries are the sender, then the receivers in friend-list
     order. The trust vectors are shared: a send moves them alike in every
@@ -122,31 +119,13 @@ class StarCells:
 
     session: tuple  # (sender, receivers, index, params) the cells were played for
     acts: np.ndarray  # (C, N+1) the action flags each row played
-    deltas: np.ndarray  # (C, N+1) utility changes
+    deltas: np.ndarray  # (C, N+1) utility changes from before the session
     knowledge: np.ndarray  # (C, N+1, A)
     belief: np.ndarray  # (C, N+1, A)
     popularity: np.ndarray  # (C, N+1)
     reputation: np.ndarray  # (C, N+1)
     trust_in_sender: np.ndarray  # (N,) receivers' trust in the sender after a send
     trust_in_receivers: np.ndarray  # (N,) sender's trust in each after its comment
-
-
-@functools.lru_cache(maxsize=256)
-def _plan(flags: bytes, shape: tuple, size: int, decay: float):
-    """What a star's rows of action flags fix before any state is read; shared, so read-only.
-
-    Returns the flags with the star before appended (a row of none), the
-    sending rows as an integer index, whether any row sends, and each
-    entry's idle-decay multiplier: 1.0 where it acts and in the star
-    before, where a product by 1.0 leaves popularity exactly as it is.
-    """
-    acts = np.concatenate((np.frombuffer(flags, dtype=bool).reshape(shape), np.zeros((1, size), dtype=bool)))
-    sends = np.flatnonzero(acts[:, 0])
-    kept = np.where(acts, 1.0, 1.0 - decay)
-    kept[-1] = 1.0
-    for shared in (acts, sends, kept):
-        shared.setflags(write=False)
-    return acts, sends, len(sends) > 0, kept
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,14 +170,10 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     the run; every id and, when a cell sends, every star's `index` must
     exist in `world`. When no cell sends, `index` may be None.
 
-    The arrays end with the star before the session, in which nobody acts,
-    forgets or decays: a cell's deltas are its utility less that row's. The
-    comment chain and the single trust update run on every row.
-
-    The flags are planned once per pattern and `popularity_decay` (`_plan`)
-    and shared by every call that plays them, so the returned `acts` is
-    read-only. A planned multiplier of 1.0 leaves an active participant's
-    popularity as it is, bit for bit.
+    A cell's deltas are its utility less the participants' utility before
+    the session, taken once per star. The comment chain and the single
+    trust update run on every row. An idle-decay multiplier of 1.0 leaves an
+    active participant's popularity as it is, bit for bit.
     """
     sessions = [(sender, tuple(receivers), index, params) for sender, receivers, index in stars]
     ids = [(sender, *receivers) for sender, receivers, _, _ in sessions]
@@ -207,9 +182,9 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     if size < 2 or len(flat) != size * len(ids) or len(set(flat)) < len(flat) or not 0 <= min(flat) <= max(flat) < n:
         raise ValueError(f"a star needs a receiver, and distinct actor ids in [0, {n}) across its run")
     acts = np.asarray(acts, dtype=bool)
-    acts, sends, any_send, kept = _plan(acts.tobytes(), acts.shape, size, params.popularity_decay)
+    sends = acts[:, 0].nonzero()[0]
     ids, flat = np.array(ids), np.array(flat)
-    weights = world.personality.take(ids, axis=0)[:, None]  # (K, 1, N+1, 3)
+    weights = world.personality.take(ids, axis=0)  # (K, N+1, 3)
     knowledge, belief = world.knowledge.take(ids, axis=0), world.belief.take(ids, axis=0)
     popularity = world.popularity[ids]
     root = np.sqrt(params.remembrance)
@@ -218,13 +193,12 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
             knowledge[later:] *= root
             belief[later:] *= root
         popularity[later:] *= 1.0 - params.popularity_decay
-    cell_knowledge = knowledge[:, None].repeat(len(acts), axis=1)
-    cell_belief = belief[:, None].repeat(len(acts), axis=1)
-    cell_popularity = popularity[:, None].repeat(len(acts), axis=1)
+    shape = len(ids), size
+    reputation = world.reputation[flat].reshape(shape)
+    before = utility_of(weights, knowledge, belief, reputation, popularity)
     # A column-contiguous copy, summed column by column as World.reputations sums it.
     columns = world.trust[:, flat]
     self_trust = world.trust.diagonal()[flat]
-    reputation = world.reputation[flat]
     # Each star's receivers' trust in its sender, then the sender's in each receiver.
     pair_rows, pair_columns = _trust_pair(size, len(ids))
     pair = flat.take(pair_rows), pair_columns
@@ -233,9 +207,10 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     if params.remembrance != 1.0:
         knowledge = knowledge * root
         belief = belief * root
-        cell_knowledge[:, :-1] = knowledge[:, None]
-        cell_belief[:, :-1] = belief[:, None]
-    if any_send:
+    cell_knowledge = knowledge[:, None].repeat(len(acts), axis=1)
+    cell_belief = belief[:, None].repeat(len(acts), axis=1)
+    cell_popularity = popularity[:, None].repeat(len(acts), axis=1)
+    if len(sends):
         index = [i for _, _, i, _ in sessions]
         if None in index or not 0 <= min(index) <= max(index) < world.n_assertions:
             raise ValueError(f"a send needs an assertion index in [0, {world.n_assertions})")
@@ -293,7 +268,7 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
                 chain.append(np.where(on, swayed, chain[-1]))
             cell_belief[:, :, 0] = chain[-1].reshape(len(ids), a_count, -1).transpose(0, 2, 1)
             rows = j * a_count + index  # each star's row of the transferred assertion
-            values = k_sent * np.array([b.take(rows, axis=0) for b in chain])  # (N+1, K, C+1)
+            values = k_sent * np.array([b.take(rows, axis=0) for b in chain])  # (N+1, K, C)
             # A comment changed one actor, so it credits popularity on the scale
             # one trust entry has in reputation: 1/(n-1) per actor. A silent
             # receiver's change is exactly 0, which leaves its popularity alone.
@@ -301,13 +276,12 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
             p = cell_popularity[:, :, 1:]
             cell_popularity[:, :, 1:] = p + credit - p * credit
 
-    # Idle decay for every participant who neither sent nor commented; the star before does not decay.
-    cell_popularity *= kept
-    shape = len(ids), 1, size
-    reputation = np.where(acts, reputation_of(columns, self_trust).reshape(shape), reputation.reshape(shape))
-    u = utility_of(weights, cell_knowledge, cell_belief, reputation, cell_popularity)
-    return list(map(StarCells, sessions, [acts[:-1]] * len(sessions), u[:, :-1] - u[:, -1:], cell_knowledge[:, :-1],
-                    cell_belief[:, :-1], cell_popularity[:, :-1], reputation[:, :-1], trust[:, 0], trust[:, 1]))
+    # Idle decay for every participant who neither sent nor commented.
+    cell_popularity *= np.where(acts, 1.0, 1.0 - params.popularity_decay)
+    reputation = np.where(acts, reputation_of(columns, self_trust).reshape(shape)[:, None], reputation[:, None])
+    u = utility_of(weights[:, None], cell_knowledge, cell_belief, reputation, cell_popularity)
+    return list(map(StarCells, sessions, [acts] * len(sessions), u - before[:, None], cell_knowledge, cell_belief,
+                    cell_popularity, reputation, trust[:, 0], trust[:, 1]))
 
 
 def execute_session(

@@ -364,3 +364,32 @@ def test_sweep_parallel_matches_serial(tmp_path):
     main(base + ["--out", str(serial)])
     main(base + ["--out", str(parallel), "--jobs", "2"])
     assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
+
+
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
+    # A pool starts every worker at its first task, so --jobs 5000 on two runs must ask for two.
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        """Records the worker count and runs each task here; no process is started."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    out = tmp_path / "s"
+    code = main(["sweep", "--scenario", "experts", "--vary", "n_receivers", "--values", "1,2",
+                 "--seeds", "1", "--jobs", "5000", "--out", str(out), *FAST])
+    assert code == 0 and asked == [2]
+    assert len(read(out / "summary.csv").splitlines()) == 1 + 2

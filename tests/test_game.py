@@ -61,10 +61,19 @@ def test_tensor_combinatorics_single_receiver():
         (True, True): (0.5, 0.2),
     }
     tensor = tensor_from_cells(cells)
-    assert len(tensor.payoffs) == 4
+    assert len(tensor.payoffs) == 3  # the feasible cells: hold, send, send with a comment
     assert tensor.payoff(StrategyProfile(False, (True,))) == tensor.payoff(
         StrategyProfile(False, (False,))
-    )
+    ) == (0.0, 0.0)
+
+
+def test_a_hand_built_tensor_needs_one_row_per_feasible_cell():
+    for n_receivers in (1, 3):
+        assert PayoffTensor(np.zeros(((1 << n_receivers) + 1, n_receivers + 1))).n_receivers == n_receivers
+        # A row for every cell, and one row short of the feasible cells.
+        for rows in (2 << n_receivers, 1 << n_receivers):
+            with pytest.raises(ValueError, match=r"not \(2\^N \+ 1, N \+ 1\)"):
+                PayoffTensor(np.zeros((rows, n_receivers + 1)))
 
 
 def test_selection_prefers_silent_among_indifferent_equilibria():

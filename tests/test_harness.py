@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from friendcast import game, harness, transfer
 from friendcast.harness import (
     ConfigError,
+    MAX_RECEIVERS,
     ScenarioConfig,
     _tier_counts,
     init_population,
@@ -42,6 +43,11 @@ def tiny_config(**overrides):
 def test_config_validation_catches_bad_values():
     with pytest.raises(ConfigError):
         tiny_config(n_receivers=8).validate()  # >= n_actors
+    # A game has 2^(N+1) profiles; only the config is built here, never a world or a tensor.
+    assert tiny_config(n_actors=100, n_receivers=MAX_RECEIVERS).n_receivers == MAX_RECEIVERS == 12
+    for n_receivers in (MAX_RECEIVERS + 1, 99):
+        with pytest.raises(ConfigError, match=f"n_receivers={n_receivers} is above 12"):
+            tiny_config(n_actors=100, n_receivers=n_receivers)
     with pytest.raises(ConfigError):
         tiny_config(popularity_weight=0.5).validate()  # weights sum != 1
     with pytest.raises(ConfigError, match="not a rate"):

@@ -123,11 +123,8 @@ def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance)
             for key in ("trust_in_sender", "trust_in_receivers"):
                 assert same_bits(getattr(alone, key), getattr(star, key))
 
-    payoffs = build_payoff_tensor(world, sender, receivers, index, params).payoffs
-    for hold in payoffs[: 1 << len(receivers)]:
-        assert same_bits(hold, payoffs[0])
-    assert same_bits(payoffs[0], star.deltas[0])
-    assert same_bits(payoffs[1 << len(receivers) :], star.deltas[1:])
+    # A tensor's rows are its star's cells.
+    assert same_bits(build_payoff_tensor(world, sender, receivers, index, params).payoffs, star.deltas)
 
 
 WORLD_KEYS = ("knowledge", "belief", "popularity", "trust", "reputation")
@@ -150,8 +147,8 @@ def test_committing_a_tensor_row_equals_playing_its_session(game, mode, remembra
     assert select_profile(hand_built) == chosen and select_profile(hand_built).played is None
     # Every feasible row, carried as select_profile carries the chosen one.
     rows = [chosen] + [
-        StrategyProfile.from_cell(int(cell), len(receivers), (tensor.star, row))
-        for row, cell in enumerate(_layout(len(receivers))[0])
+        StrategyProfile(send, tuple(feedback), (tensor.star, row))
+        for row, (send, *feedback) in enumerate(tensor.star.acts.tolist())
     ]
     for carried in rows:
         committed, played = world.copy(), world.copy()
@@ -268,9 +265,8 @@ def test_a_carried_row_of_another_cell_raises():
 
 
 def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
-    # The kernel memoises what a pattern of flags fixes, the idle-decay
-    # multipliers among it, and shares it between calls: the rate must be
-    # part of the key, and the shared arrays must be read-only.
+    # The idle-decay multipliers come from the flags and the rate: one
+    # pattern played at two rates must follow each rate.
     rng = np.random.default_rng(8)
     world = make_world(rng.uniform(0, 1, (4, 3)), rng.uniform(-1, 1, (4, 3)), trust=0.6,
                        popularity=rng.uniform(0, 1, 4))
@@ -280,8 +276,6 @@ def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
         expected, mirror = replay(world, 0, [1, 2], 1, True, (True, False), params)
         assert max(abs(d - expected[p]) for d, p in zip(star.deltas[0].tolist(), (0, 1, 2))) <= EXACT
         assert np.abs(star.popularity[0] - np.array(mirror["pop"][:3])).max() <= EXACT
-        with pytest.raises(ValueError, match="read-only"):
-            star.acts[0, 0] = False
     # Each row of a star whose sending rows are not consecutive plays as it does alone.
     rows = [(True, True, False), (False, False, False), (True, False, True)]
     [star] = play_star(world, [(0, [1, 2], 1)], params, rows)
@@ -346,4 +340,5 @@ def test_swapping_two_receivers_swaps_their_bits_and_columns(game, data):
     players[[i + 1, j + 1]] = players[[j + 1, i + 1]]
     tensor = build_payoff_tensor(world, sender, receivers, index, params)
     moved = build_payoff_tensor(world, sender, swapped, index, params)
-    assert np.array_equal(moved.payoffs[moved_cells][:, players], tensor.payoffs)
+    rows = _layout(n)[2]  # each cell's payoff row
+    assert np.array_equal(moved.payoffs[rows[moved_cells]][:, players], tensor.payoffs[rows])

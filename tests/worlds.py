@@ -5,9 +5,11 @@ changes one function. The module name does not start with `test_`, so
 pytest collects nothing from it.
 """
 
+import itertools
+
 import numpy as np
 
-from friendcast.game import PayoffTensor, StrategyProfile
+from friendcast.game import PayoffTensor
 from friendcast.knowledge import Ontology
 from friendcast.transfer import TransferParams
 from friendcast.world import World
@@ -81,11 +83,11 @@ def random_session(rng):
 
 
 def tensor_from_cells(cells):
-    """Build a tensor from {(send, feedback...): payoff vector}; every hold cell reads the all-hold vector."""
+    """Build a tensor from {(send, feedback...): payoff vector}: the all-hold row, then each send in cell order.
+
+    A send left out reads the all-hold vector, and hold cells with comments are ignored.
+    """
     n_receivers = len(next(iter(cells))) - 1
-    hold = cells[(False,) + (False,) * n_receivers]
-    payoffs = np.array([hold] * (2 << n_receivers), dtype=float)
-    for key, vec in cells.items():
-        if key[0]:
-            payoffs[StrategyProfile(key[0], tuple(key[1:])).cell] = vec
-    return PayoffTensor(payoffs)
+    hold = cells[(False,) * (n_receivers + 1)]
+    sends = itertools.product((True,), *[(False, True)] * n_receivers)
+    return PayoffTensor(np.array([hold, *(cells.get(key, hold) for key in sends)], dtype=float))
