@@ -130,7 +130,7 @@ def load_config_file(path: str) -> tuple[dict, str]:
             data = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

@@ -17,7 +17,10 @@ and its deltas are the tensor's payoffs as they stand. The selected
 profile carries its row of the played star, which
 `transfer.execute_session` commits without playing the session again.
 `build_payoff_tensors` builds the tensors of a run of disjoint stars from
-one such call.
+one such call and selects every star's row in one `select_rows` pass over
+the run's stacked deltas, so a run costs a fixed number of numpy calls
+however many stars it holds. A tensor carries its row, and
+`select_profile` only names it as a profile.
 """
 
 from __future__ import annotations
@@ -94,15 +97,27 @@ def _flags(n_receivers: int) -> tuple[tuple[bool, tuple[bool, ...]], ...]:
 class PayoffTensor:
     """Utility deltas for every feasible cell; player 0 is the sender, then receivers.
 
-    A tensor is its dense payoffs plus, when played, its star, which names the session.
+    A tensor is its dense payoffs, the row `select_profile` plays and, when
+    played, its star, which names the session. The payoffs may be any
+    nested sequence of numbers of shape (2^N + 1, N + 1); they are read-only
+    once the row is chosen. A tensor built by hand gets its row from
+    `select_rows` on a stack of one, as `build_payoff_tensors` gets a run's.
     """
 
     payoffs: np.ndarray  # (2^N + 1, N+1), one row per feasible cell in cell order
     star: StarCells | None = field(default=None, repr=False)  # whose deltas the payoffs are, when played
+    row: int | None = None  # the selected row; chosen here when not given
 
     def __post_init__(self):
-        if self.payoffs.ndim != 2 or len(self.payoffs) != (1 << self.n_receivers) + 1:
-            raise ValueError(f"payoffs of shape {self.payoffs.shape} are not (2^N + 1, N + 1)")
+        payoffs = np.asarray(self.payoffs, dtype=float)
+        if payoffs.ndim != 2 or len(payoffs) != (1 << payoffs.shape[1] - 1) + 1:
+            raise ValueError(f"payoffs of shape {payoffs.shape} are not (2^N + 1, N + 1)")
+        if payoffs.flags.writeable:  # a view, so the caller's own array stays writable
+            payoffs = payoffs.view()
+            payoffs.setflags(write=False)
+        self.payoffs = payoffs
+        if self.row is None:
+            self.row = int(select_rows(payoffs[None])[0])
 
     @property
     def n_receivers(self) -> int:
@@ -147,52 +162,68 @@ def build_payoff_tensors(world: World, stars, params: TransferParams) -> list[Pa
     """One tensor per star of a run of disjoint stars, all played in one `play_star` call.
 
     Star j's tensor is the one `build_payoff_tensor` builds once the j
-    sessions before it are committed, bit for bit (`play_star`).
+    sessions before it are committed, bit for bit (`play_star`). Every
+    star's row is selected in one `select_rows` pass over the kernel's
+    stacked deltas, of which each tensor's payoffs are a view.
     """
-    acts = _layout(len(stars[0][1]))[3]
-    return [PayoffTensor(star.deltas, star) for star in play_star(world, stars, params, acts)]
+    cells = play_star(world, stars, params, _layout(len(stars[0][1]))[3])
+    deltas = cells[0].deltas.base  # (K, 2^N + 1, N+1): each star's deltas are a view of it
+    deltas.setflags(write=False)
+    return list(map(PayoffTensor, deltas, cells, select_rows(deltas).tolist()))
 
 
-def _stable(tensor: PayoffTensor) -> np.ndarray:
-    """The rows where no player gains strictly by switching its own action.
+def _stable_rows(stack: np.ndarray) -> np.ndarray:
+    """(K, 2^N + 1) mask over a stack of payoffs: the rows where no player gains strictly by switching.
 
     A deviation gains when its payoff is greater, which for doubles is
     exactly when the regret fallback's `x - y` is positive; a NaN gains
     nothing either way.
     """
-    payoffs = tensor.payoffs
-    return (~(payoffs.take(_layout(tensor.n_receivers)[1]) > payoffs).any(axis=1)).nonzero()[0]
+    deviations = _layout(stack.shape[2] - 1)[1]
+    return ~(stack.reshape(len(stack), -1).take(deviations, axis=1) > stack).any(axis=2)
 
 
-def find_pure_nash(tensor: PayoffTensor) -> list[StrategyProfile]:
-    """All feasible profiles where no single player strictly gains by switching."""
-    cells = _layout(tensor.n_receivers)[0][_stable(tensor)]
-    return [StrategyProfile.from_cell(int(cell), tensor.n_receivers) for cell in cells]
-
-
-def select_profile(tensor: PayoffTensor) -> StrategyProfile:
-    """Pick the profile the session will actually play.
+def select_rows(stack: np.ndarray) -> np.ndarray:
+    """The row each game of a (K, 2^N + 1, N+1) stack of payoffs plays: the selection rule.
 
     A player gains by a deviation whose payoff is greater than its own.
-    Among pure equilibria, the cells where nobody gains: maximal sender
-    payoff first, then the lowest cell (hold before send, silent before
-    feedback per receiver). With no pure equilibrium, fall back to the
-    feasible profile minimizing the sum of unilateral regrets, the
-    positive parts of each player's payoff difference, same tie-break.
-    The profile carries the tensor's played star and its row there; a
-    hand-built tensor's carries none.
+    Among pure equilibria, the rows where nobody gains: maximal sender
+    payoff first, then the lowest row, which is the lowest cell (hold
+    before send, silent before feedback per receiver). With no pure
+    equilibrium, fall back to the feasible row minimizing the sum of
+    unilateral regrets, the positive parts of each player's payoff
+    difference, same tie-break. Every game is judged in one pass; only a
+    game whose best row is not stable is looked at again on its own.
     """
-    n_receivers = tensor.n_receivers
-    feasible, deviations, _, _ = _layout(n_receivers)
-    stable = _stable(tensor)
-    if len(stable):
-        row = int(stable[tensor.payoffs[stable, 0].argmax()])
-    else:
-        gains = tensor.payoffs.take(deviations) - tensor.payoffs
+    stable = _stable_rows(stack)
+    rows = np.where(stable, stack[:, :, 0], -np.inf).argmax(axis=1)
+    for k in (~stable[np.arange(len(rows)), rows]).nonzero()[0]:
+        if stable[k].any():  # every equilibrium pays the sender -inf: the lowest one
+            rows[k] = stable[k].argmax()
+            continue
+        payoffs = stack[k]
+        gains = payoffs.take(_layout(stack.shape[2] - 1)[1]) - payoffs
         # Summed player by player from 0.0, as a Python loop over players
         # would: numpy's row sum groups terms differently and can flip a tie.
         regret = 0.0
         for gain in np.maximum(gains, 0.0).T:
             regret = regret + gain
-        row = int(np.argmin(regret))
-    return StrategyProfile(*_flags(n_receivers)[feasible[row]], None if tensor.star is None else (tensor.star, row))
+        rows[k] = np.argmin(regret)
+    return rows
+
+
+def find_pure_nash(tensor: PayoffTensor) -> list[StrategyProfile]:
+    """All feasible profiles where no single player strictly gains by switching."""
+    cells = _layout(tensor.n_receivers)[0][_stable_rows(tensor.payoffs[None])[0]]
+    return [StrategyProfile.from_cell(int(cell), tensor.n_receivers) for cell in cells]
+
+
+def select_profile(tensor: PayoffTensor) -> StrategyProfile:
+    """The profile the session will actually play: the tensor's row, chosen by `select_rows`.
+
+    The profile carries the tensor's played star and its row there; a
+    hand-built tensor's carries none.
+    """
+    n_receivers, row = tensor.n_receivers, tensor.row
+    return StrategyProfile(*_flags(n_receivers)[_layout(n_receivers)[0][row]],
+                           None if tensor.star is None else (tensor.star, row))

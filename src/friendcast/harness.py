@@ -217,10 +217,15 @@ def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
     into a run, played in one `build_payoff_tensors` call, and a run ends
     only where the next star must wait: before a star that shares an actor
     with it, before a sender who knows nothing (forced to hold, with index
-    None), and after the last draw. Each star's profile is selected as its
-    step takes it. A star that ends a run draws its assertion only once the
-    generator resumes, after the run is committed, so the generator is read
-    exactly as one session per step reads it.
+    None), and after the last draw. Every star's row is selected with the
+    run (`build_payoff_tensors`), and `select_profile` names it as a
+    profile as its step takes it. A sender's knowledge row takes the
+    forgetting ticks of the run's earlier stars as one
+    `np.multiply.accumulate`: the same products in the same order, so it
+    underflows to 0 exactly where one product per step does. A star that
+    ends a run draws its assertion only once the generator resumes, after
+    the run is committed, so the generator is read exactly as one session
+    per step reads it.
 
     A run holds state that is exact only while nothing but `step`, one
     session at a time and in order, changes the world.
@@ -248,9 +253,11 @@ def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
             yield from played(stars)
             stars, actors = [], set()
         knowledge = world.knowledge[sender]
-        if params.remembrance != 1.0:
-            for _ in stars:  # the forgetting ticks of the sessions before it, one product each
-                knowledge = knowledge * root
+        if params.remembrance != 1.0 and stars:
+            # The forgetting ticks of the sessions before it, one product each, in order.
+            ticks = np.full((len(stars) + 1, len(knowledge)), root)
+            ticks[0] = knowledge
+            knowledge = np.multiply.accumulate(ticks)[-1]
         known = (knowledge > 0.0).nonzero()[0]
         if known.size == 0:
             yield from played(stars)

@@ -153,7 +153,8 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     whether the sender sends, then whether each receiver comments, in
     friend-list order. A row of no flags is the all-hold session, in which
     every participant is inactive, forgets and decays. Returns one
-    `StarCells` per star, in run order.
+    `StarCells` per star, in run order; their deltas are views of one
+    (K, C, N+1) array.
 
     Star j is played as the session j steps from now. A session reads and
     writes only its star's rows and trust columns, so all that the j

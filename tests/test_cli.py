@@ -59,6 +59,15 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_run_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(bad), "--out", str(out), *FAST]) == 1
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, args, field", [
     ({"n_actors": 100.0}, [], "n_actors"),
     ({"n_steps": 10.5}, [], "n_steps"),

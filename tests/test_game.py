@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from friendcast.game import (
     PayoffTensor,
@@ -13,6 +15,7 @@ from friendcast.game import (
     build_payoff_tensor,
     find_pure_nash,
     select_profile,
+    select_rows,
 )
 from friendcast.transfer import TransferParams, execute_session
 
@@ -190,6 +193,77 @@ def test_select_profile_matches_brute_force_selection():
         assert (chosen.send, *chosen.feedback) == expected
         fallbacks += fallback
     assert 0 < fallbacks < 1000
+
+
+def no_equilibrium(n_receivers):
+    """A game with no pure equilibrium: the sender gains by sending, the first receiver then by commenting,
+    and the sender, once commented on, by holding.
+
+    Every other receiver is indifferent, so it never gains by switching.
+    """
+    payoffs = np.zeros(((1 << n_receivers) + 1, n_receivers + 1))
+    payoffs[1:, 0] = np.where(np.arange(1 << n_receivers) >> (n_receivers - 1), -1.0, 1.0)
+    payoffs[1:, 1] = np.arange(1 << n_receivers) >> (n_receivers - 1)
+    return payoffs
+
+
+@st.composite
+def stacks(draw):
+    """A stack of small integer games with a game of no equilibrium among them, and its position."""
+    n_receivers = draw(st.integers(1, 4))
+    size = ((1 << n_receivers) + 1) * (n_receivers + 1)
+    games = draw(st.lists(st.lists(st.integers(-2, 2), min_size=size, max_size=size), min_size=2, max_size=7))
+    games = np.array(games, dtype=float).reshape(len(games), -1, n_receivers + 1)
+    at = draw(st.integers(1, len(games) - 1))
+    return np.insert(games, at, no_equilibrium(n_receivers), axis=0), at
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stacks())
+def test_the_stacked_pass_selects_each_games_row_as_the_oracle_does(drawn):
+    stack, at = drawn
+    n_receivers = stack.shape[2] - 1
+    sends = list(itertools.product((True,), *[(False, True)] * n_receivers))
+    keys = [(False,) * (n_receivers + 1), *sends]
+    chosen = []
+    for payoffs in stack:
+        _, expected, fallback = oracle_game(dict(zip(keys, map(tuple, payoffs.tolist()))))
+        chosen.append((keys.index(expected), fallback))
+    # The fallback game sits between games that have an equilibrium.
+    assume(not all(f for _, f in chosen[:at]) and not all(f for _, f in chosen[at + 1:]))
+    assert chosen[at][1]
+    rows = select_rows(stack)
+    assert rows.tolist() == [row for row, _ in chosen]
+    # A tensor built alone gets the same row from the same pass, on a stack of one.
+    for payoffs, row in zip(stack, rows.tolist()):
+        tensor = PayoffTensor(payoffs)
+        assert tensor.row == row
+        profile = select_profile(tensor)
+        assert (profile.send, *profile.feedback) == keys[row]
+
+
+def test_an_equilibrium_that_pays_the_sender_minus_infinity_is_still_chosen():
+    # Only (send, comment) is stable, and it pays the sender -inf, as low as
+    # an unstable row can read in the stacked pass.
+    tensor = PayoffTensor([[-np.inf, 0.0], [0.0, 0.0], [-np.inf, 1.0]])
+    assert find_pure_nash(tensor) == [StrategyProfile(True, (True,))]
+    assert select_profile(tensor) == StrategyProfile(True, (True,))
+
+
+def test_a_tensor_is_built_from_a_nested_list_and_its_payoffs_are_then_read_only():
+    tensor = PayoffTensor([[0, 0], [1, 0], [1, 1]])
+    assert tensor.payoffs.dtype == float
+    assert select_profile(tensor) == StrategyProfile(True, (True,))
+    with pytest.raises(ValueError, match="read-only"):
+        tensor.payoffs[2, 1] = -1.0
+    # A ragged or non-numeric list is no tensor.
+    for payoffs in ([[0, 0], [1], [1, 1]], [["a", 0], [1, 0], [1, 1]]):
+        with pytest.raises(ValueError):
+            PayoffTensor(payoffs)
+    # The caller's own array stays writable.
+    own = np.zeros((3, 2))
+    PayoffTensor(own)
+    own[0, 0] = 1.0
 
 
 # --- tensors built from worlds ---------------------------------------------

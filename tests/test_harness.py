@@ -243,6 +243,45 @@ def test_the_stream_draws_what_one_draw_per_step_draws(n, n_receivers, steps, re
         step(world, cfg, stream)
 
 
+def test_a_senders_ticks_through_subnormals_are_one_product_each():
+    # 5 * 2**-1074 halves to 2, 1 and then 0 (ties to even), so the per-step
+    # reference forces every sender to hold from step 4 on; in one product,
+    # 5 * 0.5**3 rounds to 2**-1074, and a later star of a run would still send.
+    cfg = tiny_config(n_actors=1000, n_steps=12, remembrance=0.25, knowledge_tiers=[[1.0, 5 * 2.0**-1074]],
+                      rng_seed=11)
+    expected, next_random, expected_world = per_step_sessions(cfg, cfg.n_steps)
+    assert [index is None for _, index in expected] == [False] * 3 + [True] * 9
+    rng = np.random.default_rng(cfg.rng_seed)
+    world = init_population(cfg, rng)
+    stream = sessions(world, cfg, rng)
+    outcomes = [step(world, cfg, stream) for _ in range(cfg.n_steps)]
+    assert [(list(o.utility_deltas), o.assertion_index) for o in outcomes] == expected
+    assert rng.random() == next_random
+    for name in ("knowledge", "belief", "popularity", "trust", "reputation"):
+        assert getattr(world, name).tobytes() == getattr(expected_world, name).tobytes(), name
+
+
+def test_every_star_with_a_tensor_is_selected_through_the_module_global(monkeypatch):
+    # bench/worker.py wraps harness.select_profile to check every choice by brute force.
+    counts = {"selected": 0, "holds": 0}
+    select, execute = harness.select_profile, harness.execute_session
+
+    def selected(tensor):
+        counts["selected"] += 1
+        return select(tensor)
+
+    def executed(world, sender, receivers, index, *args):
+        counts["holds"] += index is None
+        return execute(world, sender, receivers, index, *args)
+
+    monkeypatch.setattr(harness, "select_profile", selected)
+    monkeypatch.setattr(harness, "execute_session", executed)
+    cfg = scenario_config("experts", knowledge_tiers=[[0.5, 0.0], [0.5, 0.9]], n_steps=300, rng_seed=3)
+    simulate(cfg)
+    assert counts["holds"] > 0
+    assert counts["selected"] == cfg.n_steps - counts["holds"]
+
+
 def test_ignorant_sender_is_forced_to_hold():
     cfg = tiny_config(knowledge_tiers=[[1.0, 0.0]], popularity_decay=0.0)
     rng = np.random.default_rng(1)
