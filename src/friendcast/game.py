@@ -116,8 +116,9 @@ class PayoffTensor:
             payoffs = payoffs.view()
             payoffs.setflags(write=False)
         self.payoffs = payoffs
-        if self.row is None:
-            self.row = int(select_rows(payoffs[None])[0])
+        self.row = int(select_rows(payoffs[None])[0]) if self.row is None else self.row
+        if type(self.row) is not int or not 0 <= self.row < len(payoffs):
+            raise ValueError(f"row {self.row!r} is not an int in [0, {len(payoffs) - 1}]")
 
     @property
     def n_receivers(self) -> int:

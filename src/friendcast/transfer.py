@@ -37,13 +37,22 @@ the one place that checks a star. A step plays its star once: the payoff
 tensor plays every feasible cell, and `execute_session` commits the
 selected row. Stars that share no actor play in one call along a leading
 star axis, each as it plays once the stars before it are committed.
-A star's utility before the session is taken once, and a cell's deltas
-are its utility less that; both trust updates are one call on the
-stacked pair of trust vectors, gathered and written back with one index
-pair. "Source" comments are one chain over the whole cell axis: each
-receiver in turn sways the sender's belief in every row, kept only where
-it comments, and the sender's value after each comment credits every
-responder's popularity in one pass.
+
+A cell changes the participants' k and b rows only by whether the sender
+sends, and only the sender's belief differs between sending cells, so a
+star holds its rows after a hold and after a send, and the sender's
+belief once per cell. Both belief modes learn a send along the ontology
+row of the published assertion; "transferred" keeps only the published
+belief of it, by a masked copy that leaves every other bit alone. One
+average-knowledge pass over each star's rows before the session, after a
+hold and after a send gives the utility before the session and every
+receiver's term in each cell; a cell's deltas are its utility less the
+one before. Both trust updates are one call on the stacked pair of trust
+vectors, gathered and written back with one index pair. "Source"
+comments are one chain over the sender's belief in every cell: each
+receiver in turn sways it, kept only where it comments, and the sender's
+value after each comment credits every responder's popularity in one
+pass.
 
 Playing a star takes many numpy calls on arrays of a few elements, so
 their count, not the arithmetic, sets its cost, and a run of stars pays
@@ -58,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .knowledge import clamped_array, combined_belief, combined_knowledge
-from .world import World, reputation_of, utility_of
+from .world import World, average_knowledge, reputation_of, utility_of
 
 # How the learning operator weights a transferred belief when the ontology
 # spreads it to correlated assertions. "transferred" uses the knowledge
@@ -113,15 +122,19 @@ class StarCells:
     """Outcome of hypothetical sessions on a star, one row per cell played, in the order played.
 
     Within a cell, entries are the sender, then the receivers in friend-list
-    order. The trust vectors are shared: a send moves them alike in every
-    sending cell, and they stay as they were when no cell sends.
+    order. A cell changes the participants' k and b rows only by whether
+    the sender sends, except the sender's belief, which "source" comments
+    sway: so the rows are held once per send flag, and the sender's belief
+    once per cell. The trust vectors are shared: a send moves them alike in
+    every sending cell, and they stay as they were when no cell sends.
     """
 
     session: tuple  # (sender, receivers, index, params) the cells were played for
     acts: np.ndarray  # (C, N+1) the action flags each row played
     deltas: np.ndarray  # (C, N+1) utility changes from before the session
-    knowledge: np.ndarray  # (C, N+1, A)
-    belief: np.ndarray  # (C, N+1, A)
+    knowledge: np.ndarray  # (2, N+1, A) the rows after a hold, then after a send
+    belief: np.ndarray  # (2, N+1, A) likewise; the sender's own is its row of sender_belief
+    sender_belief: np.ndarray  # (C, A) the sender's belief in each cell
     popularity: np.ndarray  # (C, N+1)
     reputation: np.ndarray  # (C, N+1)
     trust_in_sender: np.ndarray  # (N,) receivers' trust in the sender after a send
@@ -154,7 +167,8 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     friend-list order. A row of no flags is the all-hold session, in which
     every participant is inactive, forgets and decays. Returns one
     `StarCells` per star, in run order; their deltas are views of one
-    (K, C, N+1) array.
+    (K, C, N+1) array, their k and b rows of one (K, 3, N+1, A) array
+    whose first layer is the rows before the session.
 
     Star j is played as the session j steps from now. A session reads and
     writes only its star's rows and trust columns, so all that the j
@@ -172,9 +186,11 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     exist in `world`. When no cell sends, `index` may be None.
 
     A cell's deltas are its utility less the participants' utility before
-    the session, taken once per star. The comment chain and the single
-    trust update run on every row. An idle-decay multiplier of 1.0 leaves an
-    active participant's popularity as it is, bit for bit.
+    the session, both from one average-knowledge pass. Every average sums
+    a C-contiguous row along its last axis, so a row rounds as it does in
+    `World.utilities`. The comment chain and the single trust update run
+    on every row. An idle-decay multiplier of 1.0 leaves an active
+    participant's popularity as it is, bit for bit.
     """
     sessions = [(sender, tuple(receivers), index, params) for sender, receivers, index in stars]
     ids = [(sender, *receivers) for sender, receivers, _, _ in sessions]
@@ -196,7 +212,6 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
         popularity[later:] *= 1.0 - params.popularity_decay
     shape = len(ids), size
     reputation = world.reputation[flat].reshape(shape)
-    before = utility_of(weights, knowledge, belief, reputation, popularity)
     # A column-contiguous copy, summed column by column as World.reputations sums it.
     columns = world.trust[:, flat]
     self_trust = world.trust.diagonal()[flat]
@@ -205,18 +220,19 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     pair = flat.take(pair_rows), pair_columns
     trust = columns[pair]
 
+    # Each star's rows before the session, after a hold and after a send: (K, 3, N+1, A).
+    k_rows, b_rows = knowledge[:, None].repeat(3, axis=1), belief[:, None].repeat(3, axis=1)
     if params.remembrance != 1.0:
-        knowledge = knowledge * root
-        belief = belief * root
-    cell_knowledge = knowledge[:, None].repeat(len(acts), axis=1)
-    cell_belief = belief[:, None].repeat(len(acts), axis=1)
+        k_rows[:, 1:] *= root
+        b_rows[:, 1:] *= root
+    knowledge, belief = k_rows[:, 1], b_rows[:, 1]  # after forgetting
+    sender_belief = belief[:, None, 0].repeat(len(acts), axis=1)  # (K, C, A)
     cell_popularity = popularity[:, None].repeat(len(acts), axis=1)
     if len(sends):
         index = [i for _, _, i, _ in sessions]
         if None in index or not 0 <= min(index) <= max(index) < world.n_assertions:
             raise ValueError(f"a send needs an assertion index in [0, {world.n_assertions})")
-        index = np.array(index)
-        j = np.arange(len(ids))
+        index, j = np.array(index), np.arange(len(ids))
         # Post-forget tuples: a comment carries the responder's own, and both
         # trust updates compare these beliefs.
         said_k, said = knowledge[j, :, index], belief[j, :, index]
@@ -230,19 +246,17 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
         mix = in_sender * b_sent + (1.0 - in_sender) * guess
         dk = world.willingness[ids[:, 1:]] * k_sent
         learned_k = clamped_array(combined_knowledge(said_k[:, 1:], dk), 0.0, 1.0)
-        sent = j[:, None], sends, slice(1, None), index[:, None]  # (K, sending rows, N)
-        cell_knowledge[sent] = learned_k[:, None]
-        if params.belief_weight_mode == "transferred":
-            # Zero knowledge arrives off the transferred index, so the learning
-            # operator leaves every other belief exactly unchanged.
-            learned = clamped_array(combined_belief(said[:, 1:], mix, dk), -1.0, 1.0)
-            cell_belief[sent] = learned[:, None]
-        else:
-            m_sent = m[index]  # each star's row of the transferred assertion
-            db = mix[:, :, None] * m_sent[:, None]  # np.outer's product, star by star
-            learned_rows = clamped_array(combined_belief(belief[:, 1:], db, dk[:, :, None]), -1.0, 1.0)
-            cell_belief[:, sends, 1:] = learned_rows[:, None]
-            learned = learned_rows[j, :, index]
+        k_rows[j, 2, 1:, index] = learned_k
+        # Both modes learn along each star's ontology row, whose diagonal is
+        # exactly 1. Zero knowledge arrives off the transferred index under
+        # "transferred", so only that belief is written and every other one
+        # keeps its bits, signed zeros included.
+        m_sent = m[index]
+        db = mix[:, :, None] * m_sent[:, None]  # np.outer's product, star by star
+        learned_rows = clamped_array(combined_belief(belief[:, 1:], db, dk[:, :, None]), -1.0, 1.0)
+        spread = params.belief_weight_mode == "source" or np.arange(world.n_assertions) == index[:, None, None]
+        np.copyto(b_rows[:, 2, 1:], learned_rows, where=spread)
+        learned = learned_rows[j, :, index]
 
         # Both trust updates react to the agreement that held before the transfer
         # (the sender's counts only where the receiver comments); the sender's
@@ -257,19 +271,15 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
         # where the responder comments. A "transferred" comment carries zero
         # knowledge, so only the sender's trust in the responder moves.
         if params.belief_weight_mode == "source":
-            # The senders' beliefs, one row per star and assertion, with the cell
-            # axis last: each receiver's perceived belief, its knowledge as the
-            # weight, and its comment flags broadcast along it.
-            a_count = world.n_assertions
-            perceived = (in_receivers * said[:, 1:]).T[:, :, None] * m_sent  # (N, K, A)
-            k_said = said_k[:, 1:].T.repeat(a_count, axis=1)  # (N, K*A)
-            chain = [cell_belief[:, :, 0].transpose(0, 2, 1).copy().reshape(-1, len(acts))]  # after the send, each comment
-            for on, b_added, weight in zip(acts.T[1:], perceived.reshape(size - 1, -1, 1), k_said[..., None]):
+            # Each receiver's perceived belief along the star's ontology row,
+            # with its knowledge as the weight, sways the sender's belief in every cell.
+            perceived = (in_receivers * said[:, 1:]).T[:, :, None, None] * m_sent[:, None]  # (N, K, 1, A)
+            chain = [sender_belief]  # after the send, then after each comment
+            for on, b_added, weight in zip(acts.T[1:, :, None], perceived, said_k.T[1:, :, None, None]):
                 swayed = clamped_array(combined_belief(chain[-1], b_added, weight), -1.0, 1.0)
                 chain.append(np.where(on, swayed, chain[-1]))
-            cell_belief[:, :, 0] = chain[-1].reshape(len(ids), a_count, -1).transpose(0, 2, 1)
-            rows = j * a_count + index  # each star's row of the transferred assertion
-            values = k_sent * np.array([b.take(rows, axis=0) for b in chain])  # (N+1, K, C)
+            sender_belief = chain[-1]
+            values = k_sent * np.array([b[j, :, index] for b in chain])  # (N+1, K, C)
             # A comment changed one actor, so it credits popularity on the scale
             # one trust entry has in reputation: 1/(n-1) per actor. A silent
             # receiver's change is exactly 0, which leaves its popularity alone.
@@ -279,10 +289,16 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
 
     # Idle decay for every participant who neither sent nor commented.
     cell_popularity *= np.where(acts, 1.0, 1.0 - params.popularity_decay)
-    reputation = np.where(acts, reputation_of(columns, self_trust).reshape(shape)[:, None], reputation[:, None])
-    u = utility_of(weights[:, None], cell_knowledge, cell_belief, reputation, cell_popularity)
-    return list(map(StarCells, sessions, [acts] * len(sessions), u - before[:, None], cell_knowledge, cell_belief,
-                    cell_popularity, reputation, trust[:, 0], trust[:, 1]))
+    reputation_after = np.where(acts, reputation_of(columns, self_trust).reshape(shape)[:, None], reputation[:, None])
+    # One pass gives the utility before the session and each receiver's term in
+    # every cell: a hold's rows, or a send's. The sender's follows its belief.
+    average = average_knowledge(k_rows, b_rows)  # (K, 3, N+1)
+    before = utility_of(weights, average[:, 0], reputation, popularity)
+    cells = average.take(1 + acts[:, 0], axis=1)
+    cells[:, :, 0] = average_knowledge(knowledge[:, None, 0], sender_belief)
+    u = utility_of(weights[:, None], cells, reputation_after, cell_popularity)
+    return list(map(StarCells, sessions, [acts] * len(sessions), u - before[:, None], k_rows[:, 1:], b_rows[:, 1:],
+                    sender_belief, cell_popularity, reputation_after, trust[:, 0], trust[:, 1]))
 
 
 def execute_session(
@@ -314,7 +330,9 @@ def execute_session(
     A profile selected from a tensor brings the star row it commits, the
     participants' reputations with it, and must name the session and the
     action flags that row was played for; any other profile is played
-    here, and `play_star` checks the star. Everyone else forgets and decays.
+    here, and `play_star` checks the star. The participants get the star's
+    k and b rows for the profile's send flag, then the sender its belief in
+    the row. Everyone else forgets and decays.
     """
     receivers = list(receivers)
     if len(profile.feedback) != len(receivers):
@@ -337,8 +355,9 @@ def execute_session(
         world.belief *= root
     world.popularity *= 1.0 - params.popularity_decay
     participants = np.array([sender, *receivers])
-    world.knowledge[participants] = star.knowledge[row]
-    world.belief[participants] = star.belief[row]
+    world.knowledge[participants] = star.knowledge[int(send)]
+    world.belief[participants] = star.belief[int(send)]
+    world.belief[sender] = star.sender_belief[row]
     world.popularity[participants] = star.popularity[row]
     world.reputation[participants] = star.reputation[row]
     if send:  # the trust vectors hold a send's update even when a hold was chosen

@@ -19,15 +19,23 @@ def reputation_of(columns: np.ndarray, self_trust: np.ndarray) -> np.ndarray:
     return (columns.sum(axis=0) - self_trust) / (columns.shape[0] - 1)
 
 
-def utility_of(weights, knowledge, belief, reputation, popularity) -> np.ndarray:
-    """Each actor's convex mix of average knowledge, reputation and popularity.
+def average_knowledge(knowledge, belief) -> np.ndarray:
+    """Mean |k*b| over the last axis, the assertions: each row's average knowledge.
+
+    Each row is summed along the contiguous last axis of a fresh product, so
+    a row rounds alike whatever leading axes stack it with others.
+    """
+    product = knowledge * belief  # the kernel's largest temporary: made once, not twice
+    return np.abs(product, out=product).sum(axis=-1) / knowledge.shape[-1]  # rounds as np.mean does
+
+
+def utility_of(weights, average, reputation, popularity) -> np.ndarray:
+    """Each actor's convex mix of its average knowledge, reputation and popularity.
 
     Leading axes of the state arrays, before the actor axis, index stars
     and cells; the weights' leading axes broadcast against them.
     """
-    product = knowledge * belief  # the kernel's largest temporary: made once, not twice
-    k = np.abs(product, out=product).sum(axis=-1) / knowledge.shape[-1]  # rounds as np.mean does
-    return weights[..., 0] * k + weights[..., 1] * reputation + weights[..., 2] * popularity
+    return weights[..., 0] * average + weights[..., 1] * reputation + weights[..., 2] * popularity
 
 
 @dataclass
@@ -71,7 +79,7 @@ class World:
     def utilities(self, ids) -> np.ndarray:
         """Utility of each requested actor under its own personality, from the kept reputations."""
         ids = np.asarray(ids)
-        return utility_of(self.personality[ids], self.knowledge[ids], self.belief[ids],
+        return utility_of(self.personality[ids], average_knowledge(self.knowledge[ids], self.belief[ids]),
                           self.reputation[ids], self.popularity[ids])
 
     def validate(self) -> None:

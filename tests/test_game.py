@@ -266,6 +266,15 @@ def test_a_tensor_is_built_from_a_nested_list_and_its_payoffs_are_then_read_only
     own[0, 0] = 1.0
 
 
+def test_a_given_row_must_be_an_int_among_the_feasible_rows():
+    payoffs = [[0, 0], [1, 1], [2, 2]]
+    assert PayoffTensor(payoffs).row == 2 and PayoffTensor(payoffs, row=0).row == 0
+    # -1 would play the last row unchecked, and a bool or a float is no row.
+    for row in (-1, 3, 7, True, False, 1.0):
+        with pytest.raises(ValueError, match="row"):
+            PayoffTensor(payoffs, row=row)
+
+
 # --- tensors built from worlds ---------------------------------------------
 
 
@@ -384,3 +393,24 @@ def test_format_table_lists_profiles_in_lexicographic_order():
     # comments without a send show the all-hold vector
     assert all(line.endswith("+0.000000 +0.000000 +0.000000") for line in lines[:4])
     assert lines[7] == "SFF  +4.000000 +3.000000 +2.000000"
+
+
+def test_selection_when_both_sender_actions_are_stable_under_source_weighting():
+    # Criterion 3 counts these games under "source" weighting without
+    # checking them, and the traced bench meets none: draw until ten appear.
+    rng = np.random.default_rng(303)
+    checked = 0
+    for _ in range(8000):
+        world, params, sender, receivers, index, _, _ = random_session(rng)
+        params = dataclasses.replace(params, belief_weight_mode="source")
+        tensor = build_payoff_tensor(world, sender, receivers, index, params)
+        if len({e.send for e in find_pure_nash(tensor)}) < 2:
+            continue
+        keys = [(p.send, *p.feedback) for p in StrategyProfile.enumerate_canonical(len(receivers))]
+        _, expected, fallback = oracle_game(dict(zip(keys, map(tuple, tensor.payoffs.tolist()))))
+        chosen = select_profile(tensor)
+        assert not fallback and (chosen.send, *chosen.feedback) == expected
+        checked += 1
+        if checked == 10:
+            break
+    assert checked == 10

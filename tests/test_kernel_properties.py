@@ -108,6 +108,22 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+CELL_KEYS = ("deltas", "knowledge", "belief", "popularity", "reputation")
+
+
+def state(star, row):
+    """Cell `row` of a played star as whole arrays, keyed by CELL_KEYS: its deltas and the rows it leaves.
+
+    The k and b rows are the star's layer for the cell's send flag, with the
+    sender's belief taken from the cell's own row.
+    """
+    layer = int(star.acts[row, 0])
+    belief = star.belief[layer].copy()
+    belief[0] = star.sender_belief[row]
+    return dict(zip(CELL_KEYS, (star.deltas[row], star.knowledge[layer], belief, star.popularity[row],
+                                star.reputation[row])))
+
+
 @PROPERTY
 @given(games(), st.sampled_from(BELIEF_WEIGHT_MODES), st.floats(0.0, 1.0, exclude_max=True))
 def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance):
@@ -117,8 +133,9 @@ def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance)
     [star] = play_star(world, [(sender, receivers, index)], params, acts)
     for row, cell in enumerate(feasible):
         [alone] = play_star(world, [(sender, receivers, index)], params, acts[row : row + 1])
-        for key in ("deltas", "knowledge", "belief", "popularity", "reputation"):
-            assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
+        among = state(star, row)
+        for key, value in state(alone, 0).items():
+            assert same_bits(value, among[key]), key
         if cell:  # a send moves the trust vectors alike in every sending cell
             for key in ("trust_in_sender", "trust_in_receivers"):
                 assert same_bits(getattr(alone, key), getattr(star, key))
@@ -206,13 +223,26 @@ def test_a_run_of_stars_plays_as_its_stars_one_at_a_time(run):
     together = play_star(world, stars, params, acts)
     for (sender, receivers, index), star, row in zip(stars, together, commits):
         [alone] = play_star(world, [(sender, receivers, index)], params, acts)
-        for key in ("deltas", "knowledge", "belief", "popularity", "reputation", "trust_in_sender",
+        for key in ("deltas", "knowledge", "belief", "sender_belief", "popularity", "reputation", "trust_in_sender",
                     "trust_in_receivers"):
             assert same_bits(getattr(star, key), getattr(alone, key)), key
         assert star.session == alone.session
         send, *feedback = acts[row].tolist()
         execute_session(world, sender, receivers, index, StrategyProfile(send, tuple(feedback), (alone, row)), params)
     assert same_bits(world.reputation, world.reputations())
+
+
+def test_a_played_star_holds_its_rows_once_per_send_flag_and_the_senders_belief_once_per_cell():
+    # N=7 receivers and A=10 assertions, as trolls at N=7 play: 129 cells.
+    rng = np.random.default_rng(5)
+    world = make_world(rng.uniform(0, 1, (9, 10)), rng.uniform(-1, 1, (9, 10)), popularity=rng.uniform(0, 1, 9))
+    for mode in BELIEF_WEIGHT_MODES:
+        params = TransferParams(remembrance=0.9, belief_weight_mode=mode)
+        [star] = play_star(world, [(0, list(range(1, 8)), 3)], params, _layout(7)[3])
+        assert star.knowledge.shape == star.belief.shape == (2, 8, 10)
+        assert star.sender_belief.shape == (129, 10)
+        assert star.deltas.shape == star.popularity.shape == star.reputation.shape == (129, 8)
+        assert sum(v.nbytes for v in vars(star).values() if isinstance(v, np.ndarray)) < 48 * 1024
 
 
 def disagreeing_world():
@@ -281,8 +311,9 @@ def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
     [star] = play_star(world, [(0, [1, 2], 1)], params, rows)
     for row, flags in enumerate(rows):
         [alone] = play_star(world, [(0, [1, 2], 1)], params, [flags])
-        for key in ("deltas", "knowledge", "belief", "popularity", "reputation"):
-            assert same_bits(getattr(alone, key)[0], getattr(star, key)[row])
+        among = state(star, row)
+        for key, value in state(alone, 0).items():
+            assert same_bits(value, among[key]), key
 
 
 @PROPERTY
