@@ -10,7 +10,7 @@ import numpy as np
 # `simulate`, `sessions` and `step` call the last four through them.
 from .game import StrategyProfile, build_payoff_tensor, build_payoff_tensors, select_profile
 from .knowledge import Ontology
-from .transfer import BELIEF_WEIGHT_MODES, SessionOutcome, TransferParams, execute_session
+from .transfer import BELIEF_WEIGHT_MODES, SessionOutcome, TransferParams, execute_session, known_after
 from .world import World
 
 HISTOGRAM_BINS = 20
@@ -35,7 +35,7 @@ class ScenarioConfig:
     An `int` field must be an integer, a `float` field a rate in [0, 1]; a bool is neither.
     `knowledge_tiers` is a nonempty list of [fraction, target] rate pairs whose fractions
     sum to 1; `ontology` is "identity" or an n_assertions-square matrix with diagonal 1 and
-    finite entries in [-1, 1]. Any malformed value raises `ConfigError` naming its field.
+    finite numbers in [-1, 1]. Any malformed value raises `ConfigError` naming its field.
     """
 
     n_actors: int = 100
@@ -110,6 +110,8 @@ class ScenarioConfig:
                 size = Ontology(self.ontology).size
             except (TypeError, ValueError, ArithmeticError) as err:
                 raise ConfigError(f"ontology is not a valid matrix: {err}")
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for row in self.ontology for v in row):
+                raise ConfigError(f"ontology={self.ontology!r} holds an entry that is not a number")
             if size != self.n_assertions:
                 raise ConfigError(f"explicit ontology is {size}x{size}, n_assertions is {self.n_assertions}")
         elif self.ontology != "identity":
@@ -219,10 +221,9 @@ def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
     with it, before a sender who knows nothing (forced to hold, with index
     None), and after the last draw. Every star's row is selected with the
     run (`build_payoff_tensors`), and `select_profile` names it as a
-    profile as its step takes it. A sender's knowledge row takes the
-    forgetting ticks of the run's earlier stars as one
-    `np.multiply.accumulate`: the same products in the same order, so it
-    underflows to 0 exactly where one product per step does. A star that
+    profile as its step takes it. A sender's known assertions are read by
+    `transfer.known_after`, after the forgetting ticks of the run's earlier
+    stars, so this generator does no session arithmetic. A star that
     ends a run draws its assertion only once the generator resumes, after
     the run is committed, so the generator is read exactly as one session
     per step reads it.
@@ -231,7 +232,6 @@ def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
     session at a time and in order, changes the world.
     """
     n, n_receivers, params = world.n_actors, cfg.n_receivers, cfg.transfer_params()
-    root = np.sqrt(params.remembrance)
 
     def played(stars):
         if stars:
@@ -252,13 +252,7 @@ def sessions(world: World, cfg: ScenarioConfig, rng: np.random.Generator):
         if not actors.isdisjoint([sender, *receivers]):
             yield from played(stars)
             stars, actors = [], set()
-        knowledge = world.knowledge[sender]
-        if params.remembrance != 1.0 and stars:
-            # The forgetting ticks of the sessions before it, one product each, in order.
-            ticks = np.full((len(stars) + 1, len(knowledge)), root)
-            ticks[0] = knowledge
-            knowledge = np.multiply.accumulate(ticks)[-1]
-        known = (knowledge > 0.0).nonzero()[0]
+        known = known_after(world.knowledge[sender], len(stars), params)  # after the run's earlier ticks
         if known.size == 0:
             yield from played(stars)
             stars, actors = [], set()

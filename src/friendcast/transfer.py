@@ -38,12 +38,17 @@ tensor plays every feasible cell, and `execute_session` commits the
 selected row. Stars that share no actor play in one call along a leading
 star axis, each as it plays once the stars before it are committed.
 
-A cell changes the participants' k and b rows only by whether the sender
-sends, and only the sender's belief differs between sending cells, so a
-star holds its rows after a hold and after a send, and the sender's
-belief once per cell. Both belief modes learn a send along the ontology
-row of the published assertion; "transferred" keeps only the published
-belief of it, by a masked copy that leaves every other bit alone. One
+Forgetting has one home, `forget`, which the whole world and each star
+played ahead call, and `known_after` reads a sender's known assertions
+after the ticks of a run's earlier sessions. A hold changes no
+participant beyond the forgetting and idle-decay ticks, which
+`execute_session` applies to every actor. A send changes the receivers'
+k and b rows alike in every sending cell, and only the sender's belief
+differs between them. So a star keeps the receivers' rows after a send,
+and the sender's belief once per cell. Both belief modes learn a send
+along the ontology row of the published assertion; "transferred" keeps
+only the published belief of it, by a masked copy that leaves every
+other bit alone. One
 average-knowledge pass over each star's rows before the session, after a
 hold and after a send gives the utility before the session and every
 receiver's term in each cell; a cell's deltas are its utility less the
@@ -107,6 +112,35 @@ class SessionOutcome:
     utility_deltas: dict[int, float] = field(default_factory=dict)
 
 
+def forget(params: TransferParams, *arrays) -> None:
+    """Apply one session's forgetting tick in place: multiply each k or b array by √remembrance.
+
+    Every actor forgets once per session. A remembrance of 1 would leave
+    every bit as it is, so it skips the products. The whole world
+    (`execute_session`) and each star played ahead (`play_star`) tick
+    here, so a row ticks alike wherever it is ticked.
+    """
+    if params.remembrance != 1.0:
+        root = np.sqrt(params.remembrance)
+        for values in arrays:
+            values *= root
+
+
+def known_after(row, ticks: int, params: TransferParams) -> np.ndarray:
+    """Indices of the assertions a knowledge row holds (k > 0) after `ticks` forgetting ticks.
+
+    The ticks are one `np.multiply.accumulate` over the row and `ticks`
+    copies of √remembrance: the same products in the same order as
+    `ticks` calls of `forget`, so an entry underflows to 0 exactly where
+    they take it there (a closed-form power rounds differently).
+    """
+    if params.remembrance != 1.0 and ticks:
+        steps = np.full((ticks + 1, len(row)), np.sqrt(params.remembrance))
+        steps[0] = row
+        row = np.multiply.accumulate(steps)[-1]
+    return (row > 0.0).nonzero()[0]
+
+
 def trust_update(t_old, b_sender, b_receiver, history_weight: float):
     """Move directed trust toward agreement between two beliefs, elementwise.
 
@@ -122,18 +156,20 @@ class StarCells:
     """Outcome of hypothetical sessions on a star, one row per cell played, in the order played.
 
     Within a cell, entries are the sender, then the receivers in friend-list
-    order. A cell changes the participants' k and b rows only by whether
-    the sender sends, except the sender's belief, which "source" comments
-    sway: so the rows are held once per send flag, and the sender's belief
-    once per cell. The trust vectors are shared: a send moves them alike in
-    every sending cell, and they stay as they were when no cell sends.
+    order. A hold leaves every k and b row as the forgetting tick does, so
+    no array keeps a hold's rows. A send moves the receivers' rows alike in
+    every sending cell, and the sender's knowledge not at all, so the
+    receivers' rows are kept once; the sender's belief, which "source"
+    comments sway, is kept once per cell. The trust vectors are shared: a
+    send moves them alike in every sending cell. When no cell sends, the
+    receivers' rows and the trust vectors are as the tick leaves them.
     """
 
     session: tuple  # (sender, receivers, index, params) the cells were played for
     acts: np.ndarray  # (C, N+1) the action flags each row played
     deltas: np.ndarray  # (C, N+1) utility changes from before the session
-    knowledge: np.ndarray  # (2, N+1, A) the rows after a hold, then after a send
-    belief: np.ndarray  # (2, N+1, A) likewise; the sender's own is its row of sender_belief
+    knowledge: np.ndarray  # (N, A) the receivers' rows after a send
+    belief: np.ndarray  # (N, A) likewise
     sender_belief: np.ndarray  # (C, A) the sender's belief in each cell
     popularity: np.ndarray  # (C, N+1)
     reputation: np.ndarray  # (C, N+1)
@@ -167,14 +203,18 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     friend-list order. A row of no flags is the all-hold session, in which
     every participant is inactive, forgets and decays. Returns one
     `StarCells` per star, in run order; their deltas are views of one
-    (K, C, N+1) array, their k and b rows of one (K, 3, N+1, A) array
-    whose first layer is the rows before the session.
+    (K, C, N+1) array, and their receivers' k and b rows views of the send
+    layer of one (K, 3, N+1, A) array that holds each star's rows before
+    the session, after a hold and after a send.
 
     Star j is played as the session j steps from now. A session reads and
     writes only its star's rows and trust columns, so all that the j
     sessions before it change of star j's state, whichever cells they
     commit, is their forgetting and idle-decay ticks: its rows get them as
-    j successive products, as j commits make them, not as a power. `world`
+    j successive `forget` calls, as j commits make them, not as a power,
+    then its own tick. These are the products `execute_session` makes on
+    the whole world, in the same order, so a hold's rows are the world's
+    after the tick, bit for bit, and a hold commits nothing else. `world`
     is only read, and a run played ahead stays exact only while nothing
     but its stars' commits, one per step and in order, changes the world
     (`harness.sessions`). Every cell is, element for element, the
@@ -204,11 +244,8 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     weights = world.personality.take(ids, axis=0)  # (K, N+1, 3)
     knowledge, belief = world.knowledge.take(ids, axis=0), world.belief.take(ids, axis=0)
     popularity = world.popularity[ids]
-    root = np.sqrt(params.remembrance)
     for later in range(1, len(ids)):  # each session's ticks on the stars after it, one product each
-        if params.remembrance != 1.0:
-            knowledge[later:] *= root
-            belief[later:] *= root
+        forget(params, knowledge[later:], belief[later:])
         popularity[later:] *= 1.0 - params.popularity_decay
     shape = len(ids), size
     reputation = world.reputation[flat].reshape(shape)
@@ -222,9 +259,7 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
 
     # Each star's rows before the session, after a hold and after a send: (K, 3, N+1, A).
     k_rows, b_rows = knowledge[:, None].repeat(3, axis=1), belief[:, None].repeat(3, axis=1)
-    if params.remembrance != 1.0:
-        k_rows[:, 1:] *= root
-        b_rows[:, 1:] *= root
+    forget(params, k_rows[:, 1:], b_rows[:, 1:])
     knowledge, belief = k_rows[:, 1], b_rows[:, 1]  # after forgetting
     sender_belief = belief[:, None, 0].repeat(len(acts), axis=1)  # (K, C, A)
     cell_popularity = popularity[:, None].repeat(len(acts), axis=1)
@@ -297,7 +332,7 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     cells = average.take(1 + acts[:, 0], axis=1)
     cells[:, :, 0] = average_knowledge(knowledge[:, None, 0], sender_belief)
     u = utility_of(weights[:, None], cells, reputation_after, cell_popularity)
-    return list(map(StarCells, sessions, [acts] * len(sessions), u - before[:, None], k_rows[:, 1:], b_rows[:, 1:],
+    return list(map(StarCells, sessions, [acts] * len(sessions), u - before[:, None], k_rows[:, 2, 1:], b_rows[:, 2, 1:],
                     sender_belief, cell_popularity, reputation_after, trust[:, 0], trust[:, 1]))
 
 
@@ -330,9 +365,12 @@ def execute_session(
     A profile selected from a tensor brings the star row it commits, the
     participants' reputations with it, and must name the session and the
     action flags that row was played for; any other profile is played
-    here, and `play_star` checks the star. The participants get the star's
-    k and b rows for the profile's send flag, then the sender its belief in
-    the row. Everyone else forgets and decays.
+    here, and `play_star` checks the star. Every actor forgets (`forget`)
+    and decays. A hold commits nothing more: `play_star` made the same
+    products in the same order, so the ticks leave every participant as
+    the held row does. A send then writes the receivers' k and b rows,
+    the sender's belief in the row, the participants' popularity and
+    reputation, and the trust entries.
     """
     receivers = list(receivers)
     if len(profile.feedback) != len(receivers):
@@ -349,18 +387,15 @@ def execute_session(
     session = (sender, tuple(receivers), index, params)
     if star.session != session or star.acts[row].tolist() != [send, *profile.feedback]:
         raise ValueError("the profile's star row was played for another session or cell")
-    if params.remembrance != 1.0:
-        root = np.sqrt(params.remembrance)
-        world.knowledge *= root
-        world.belief *= root
+    forget(params, world.knowledge, world.belief)
     world.popularity *= 1.0 - params.popularity_decay
-    participants = np.array([sender, *receivers])
-    world.knowledge[participants] = star.knowledge[int(send)]
-    world.belief[participants] = star.belief[int(send)]
-    world.belief[sender] = star.sender_belief[row]
-    world.popularity[participants] = star.popularity[row]
-    world.reputation[participants] = star.reputation[row]
-    if send:  # the trust vectors hold a send's update even when a hold was chosen
+    if send:  # a hold's rows are the ticks just applied, bit for bit
+        participants = np.array([sender, *receivers])
+        world.knowledge[participants[1:]] = star.knowledge
+        world.belief[participants[1:]] = star.belief
+        world.belief[sender] = star.sender_belief[row]
+        world.popularity[participants] = star.popularity[row]
+        world.reputation[participants] = star.reputation[row]
         world.trust[participants[1:], sender] = star.trust_in_sender
         world.trust[sender, responders] = star.trust_in_receivers[star.acts[row, 1:]]
     return SessionOutcome(

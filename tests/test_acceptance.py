@@ -187,6 +187,7 @@ def _run_scenario(task):
         "mean_abs": [s.mean_abs_value for s in snaps],
         "std": [s.std_value for s in snaps],
         "final_actor_values": snaps[-1].actor_mean_value,
+        "final_actor_abs_values": snaps[-1].actor_mean_abs_value,
         "steps_to_09": result.steps_to_threshold(0.9),
     }
 
@@ -200,13 +201,17 @@ def scenario_runs():
 
 
 def test_criterion_4_experts_reproduction(scenario_runs):
-    finals, drops, stragglers, runtimes = [], [], [], []
+    finals, drops, stragglers, dissenters, runtimes = [], [], [], [], []
     for seed in SEEDS:
         r = scenario_runs[("experts", seed)]
         mean_abs = np.array(r["mean_abs"])
         finals.append(mean_abs[-1])
         drops.append(float(np.min(np.diff(mean_abs))))
         stragglers.append(int(np.sum(r["final_actor_values"] < 0.99)))
+        # Printed only: an actor against the population's median sign, or below 0.99 mean|a|.
+        values = r["final_actor_values"]
+        against = np.sign(values) * np.sign(np.median(values)) < 0
+        dissenters.append(int(np.sum(against | (r["final_actor_abs_values"] < 0.99))))
         runtimes.append(r["elapsed"])
     converged = all(f >= 0.85 for f in finals)
     monotone = all(d >= -0.02 for d in drops)
@@ -216,7 +221,9 @@ def test_criterion_4_experts_reproduction(scenario_runs):
         4, "experts reproduction", passed,
         f"final mean|a| min {min(finals):.3f} (>=0.85), worst snapshot drop "
         f"{min(drops):.4f} (>=-0.02), seeds with a dissenting actor "
-        f"{sum(1 for s in stragglers if s >= 1)}/{len(SEEDS)}, "
+        f"{sum(1 for s in stragglers if s >= 1)}/{len(SEEDS)}, seeds with an actor against the "
+        f"median sign or below 0.99 mean|a| {sum(1 for d in dissenters if d >= 1)}/{len(SEEDS)} "
+        f"(per seed {dissenters}), "
         f"runtime/run {min(runtimes):.0f}-{max(runtimes):.0f}s (target <60)",
     )
     assert passed, line

@@ -475,3 +475,11 @@ def test_explicit_ontology_is_used():
 def test_explicit_ontology_must_match_n_assertions():
     with pytest.raises(ConfigError, match="n_assertions"):
         tiny_config(n_assertions=5, ontology=[[1.0, 0.0], [0.0, 1.0]]).validate()
+
+
+def test_an_explicit_ontology_of_strings_or_bools_is_rejected():
+    # Both coerce to a float matrix, and the manifest would store strings or booleans.
+    for m in ([["1", "0"], ["0", "1"]], [[True, False], [False, True]]):
+        with pytest.raises(ConfigError, match="ontology"):
+            ScenarioConfig(n_assertions=2, ontology=m)
+    assert ScenarioConfig(n_assertions=2, ontology=[[1, 0], [0, 1.0]]).ontology == ((1, 0), (0, 1.0))

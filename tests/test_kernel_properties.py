@@ -12,7 +12,7 @@ whether it is played alone or along the cell axis with the others, each
 star of a run as it plays alone once the stars before it are committed,
 and committing a tensor's row must do to the world exactly what playing
 that session does, leaving the kept reputations equal to the trust
-matrix's.
+matrix's. A hold commits the forgetting and idle-decay ticks alone.
 
 Three metamorphic relations need no oracle: relabelling the actors or
 the assertions leaves the tensor unchanged, and under "transferred"
@@ -108,20 +108,18 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-CELL_KEYS = ("deltas", "knowledge", "belief", "popularity", "reputation")
-
-
 def state(star, row):
-    """Cell `row` of a played star as whole arrays, keyed by CELL_KEYS: its deltas and the rows it leaves.
+    """Cell `row` of a played star as whole arrays: its deltas, the sender's belief and the state it leaves.
 
-    The k and b rows are the star's layer for the cell's send flag, with the
-    sender's belief taken from the cell's own row.
+    A star keeps the receivers' k and b rows only as a send leaves them, so
+    they count only for a sending cell; a hold leaves them as the forgetting
+    tick does, which `execute_session` applies to every actor.
     """
-    layer = int(star.acts[row, 0])
-    belief = star.belief[layer].copy()
-    belief[0] = star.sender_belief[row]
-    return dict(zip(CELL_KEYS, (star.deltas[row], star.knowledge[layer], belief, star.popularity[row],
-                                star.reputation[row])))
+    cell = dict(deltas=star.deltas[row], sender_belief=star.sender_belief[row], popularity=star.popularity[row],
+                reputation=star.reputation[row])
+    if star.acts[row, 0]:
+        cell.update(knowledge=star.knowledge, belief=star.belief)
+    return cell
 
 
 @PROPERTY
@@ -232,6 +230,29 @@ def test_a_run_of_stars_plays_as_its_stars_one_at_a_time(run):
     assert same_bits(world.reputation, world.reputations())
 
 
+@PROPERTY
+@given(runs())
+def test_a_hold_commits_the_forgetting_tick_alone(run):
+    # Each star of a run holds in turn. After j holds the world is the world
+    # before the run ticked j times, one product per session, and it holds
+    # each held cell's stored state for the cell's participants.
+    world, stars, params, _ = run
+    ticked = world.copy()
+    together = play_star(world, stars, params, _layout(len(stars[0][1]))[3])
+    for (sender, receivers, index), star in zip(stars, together):
+        hold = StrategyProfile(False, (False,) * len(receivers), (star, 0))
+        execute_session(world, sender, receivers, index, hold, params)
+        ticked.knowledge *= np.sqrt(params.remembrance)  # a product by 1.0 keeps every bit
+        ticked.belief *= np.sqrt(params.remembrance)
+        ticked.popularity *= 1.0 - params.popularity_decay
+        for key in WORLD_KEYS:
+            assert same_bits(getattr(world, key), getattr(ticked, key)), key
+        ids = [sender, *receivers]
+        assert same_bits(world.belief[sender], star.sender_belief[0])
+        assert same_bits(world.popularity[ids], star.popularity[0])
+        assert same_bits(world.reputation[ids], star.reputation[0])
+
+
 def test_a_played_star_holds_its_rows_once_per_send_flag_and_the_senders_belief_once_per_cell():
     # N=7 receivers and A=10 assertions, as trolls at N=7 play: 129 cells.
     rng = np.random.default_rng(5)
@@ -239,7 +260,7 @@ def test_a_played_star_holds_its_rows_once_per_send_flag_and_the_senders_belief_
     for mode in BELIEF_WEIGHT_MODES:
         params = TransferParams(remembrance=0.9, belief_weight_mode=mode)
         [star] = play_star(world, [(0, list(range(1, 8)), 3)], params, _layout(7)[3])
-        assert star.knowledge.shape == star.belief.shape == (2, 8, 10)
+        assert star.knowledge.shape == star.belief.shape == (7, 10)  # the receivers' rows after a send
         assert star.sender_belief.shape == (129, 10)
         assert star.deltas.shape == star.popularity.shape == star.reputation.shape == (129, 8)
         assert sum(v.nbytes for v in vars(star).values() if isinstance(v, np.ndarray)) < 48 * 1024

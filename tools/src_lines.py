@@ -2,17 +2,21 @@
 
 Each line of a module counts once: a docstring's lines (blank ones too),
 then lines with code tokens, then comment-only lines; the rest are blank.
-CI writes this table to each run's summary; run it locally with
+Given the root of another checkout, it also prints each module's code
+lines there and here, and the total, counted by these same rules. CI
+writes both tables to each run's summary; run it locally with
 
-    python3 tools/src_lines.py
+    python3 tools/src_lines.py [BASE_CHECKOUT]
 """
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "friendcast"
+PACKAGE = Path("src") / "friendcast"
+SRC = Path(__file__).resolve().parent.parent / PACKAGE
 COLUMNS = ("code", "docstring", "comment", "blank")
 LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -36,16 +40,28 @@ def line_split(text: str) -> dict[str, int]:
     return dict(code=len(code), docstring=len(doc), comment=len(comment), blank=n - len(code | doc | comment))
 
 
-def main() -> None:
+def splits(src: Path) -> dict[str, dict[str, int]]:
+    return {path.name: line_split(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) > 1:
+        sys.exit(f"usage: python3 {Path(__file__).name} [BASE_CHECKOUT]")
+    here = splits(SRC)
     print(f"{'module':<16}" + "".join(f"{c:>11}" for c in COLUMNS))
     totals = dict.fromkeys(COLUMNS, 0)
-    for path in sorted(SRC.glob("*.py")):
-        row = line_split(path.read_text())
+    for name, row in here.items():
         for c in COLUMNS:
             totals[c] += row[c]
-        print(f"{path.name:<16}" + "".join(f"{row[c]:>11}" for c in COLUMNS))
+        print(f"{name:<16}" + "".join(f"{row[c]:>11}" for c in COLUMNS))
     print(f"{'total':<16}" + "".join(f"{totals[c]:>11}" for c in COLUMNS))
+    if argv:
+        base = splits(Path(argv[0]) / PACKAGE)
+        print(f"\n{'code lines':<16}{'base':>11}{'here':>11}")
+        code = {name: [split.get(name, {}).get("code", 0) for split in (base, here)] for name in sorted(base | here)}
+        for name, (before, after) in [*code.items(), ("total", map(sum, zip(*code.values())))]:
+            print(f"{name:<16}{before:>11} ->{after:>8}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
