@@ -187,11 +187,7 @@ def init_population(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
     """
     n, a = cfg.n_actors, cfg.n_assertions
     counts = _tier_counts([t[0] for t in cfg.knowledge_tiers], n)
-    knowledge = np.empty((n, a))
-    start = 0
-    for count, (_, target) in zip(counts, cfg.knowledge_tiers):
-        knowledge[start : start + count] = target
-        start += count
+    knowledge = np.repeat([[float(target)] for _, target in cfg.knowledge_tiers], counts, axis=0).repeat(a, axis=1)
     belief = rng.integers(0, 2, size=(n, a)) * 2.0 - 1.0
     trust = np.full((n, n), float(cfg.trust_init), order="F")
     np.fill_diagonal(trust, 1.0)

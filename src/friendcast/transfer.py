@@ -36,7 +36,10 @@ trust columns that give their reputations after the session. It is also
 the one place that checks a star. A step plays its star once: the payoff
 tensor plays every feasible cell, and `execute_session` commits the
 selected row. Stars that share no actor play in one call along a leading
-star axis, each as it plays once the stars before it are committed.
+star axis, each as it plays once the stars before it are committed. The
+call returns the run's utility changes as one read-only stack, one row
+per star, beside each star's cells; a star's deltas are its row of that
+stack, and `game` reads the stack as the run's payoffs.
 
 Forgetting has one home, `forget`, which the whole world and each star
 played ahead call, and `known_after` reads a sender's known assertions
@@ -163,6 +166,8 @@ class StarCells:
     comments sway, is kept once per cell. The trust vectors are shared: a
     send moves them alike in every sending cell. When no cell sends, the
     receivers' rows and the trust vectors are as the tick leaves them.
+    The deltas are the star's row of the read-only stack `play_star`
+    returns, so a tensor's payoffs cannot move under it.
     """
 
     session: tuple  # (sender, receivers, index, params) the cells were played for
@@ -194,16 +199,17 @@ def _trust_pair(size: int, stars: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCells]:
+def play_star(world: World, stars, params: TransferParams, acts) -> tuple[np.ndarray, list[StarCells]]:
     """Play the session of each given row of action flags on each star of a run, each star alone.
 
     `stars` is a run of sessions (sender, receivers, index) with the same
     number N of receivers and no actor in two of them; `acts` is (C, N+1):
     whether the sender sends, then whether each receiver comments, in
     friend-list order. A row of no flags is the all-hold session, in which
-    every participant is inactive, forgets and decays. Returns one
-    `StarCells` per star, in run order; their deltas are views of one
-    (K, C, N+1) array, and their receivers' k and b rows views of the send
+    every participant is inactive, forgets and decays. Returns the run's
+    deltas, a read-only (K, C, N+1) array of every cell's utility changes,
+    and one `StarCells` per star, in run order, whose deltas are its
+    star's row of it. Their receivers' k and b rows are views of the send
     layer of one (K, 3, N+1, A) array that holds each star's rows before
     the session, after a hold and after a send.
 
@@ -331,9 +337,10 @@ def play_star(world: World, stars, params: TransferParams, acts) -> list[StarCel
     before = utility_of(weights, average[:, 0], reputation, popularity)
     cells = average.take(1 + acts[:, 0], axis=1)
     cells[:, :, 0] = average_knowledge(knowledge[:, None, 0], sender_belief)
-    u = utility_of(weights[:, None], cells, reputation_after, cell_popularity)
-    return list(map(StarCells, sessions, [acts] * len(sessions), u - before[:, None], k_rows[:, 2, 1:], b_rows[:, 2, 1:],
-                    sender_belief, cell_popularity, reputation_after, trust[:, 0], trust[:, 1]))
+    deltas = utility_of(weights[:, None], cells, reputation_after, cell_popularity) - before[:, None]
+    deltas.setflags(write=False)  # the payoffs of every tensor built on the run
+    return deltas, list(map(StarCells, sessions, [acts] * len(sessions), deltas, k_rows[:, 2, 1:], b_rows[:, 2, 1:],
+                            sender_belief, cell_popularity, reputation_after, trust[:, 0], trust[:, 1]))
 
 
 def execute_session(
@@ -383,7 +390,7 @@ def execute_session(
     if profile.played:
         star, row = profile.played
     else:
-        [star], row = play_star(world, [(sender, receivers, index)], params, [(send, *profile.feedback)]), 0
+        [star], row = play_star(world, [(sender, receivers, index)], params, [(send, *profile.feedback)])[1], 0
     session = (sender, tuple(receivers), index, params)
     if star.session != session or star.acts[row].tolist() != [send, *profile.feedback]:
         raise ValueError("the profile's star row was played for another session or cell")

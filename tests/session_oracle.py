@@ -6,7 +6,9 @@ no code with the library's vectorized path. Tests compare the two on
 random micro-worlds, through the one bridge at the end of this module:
 `replay` plays a session on a mirror of a `World` and `gap` measures how
 far a played world is from that mirror. `oracle_game` is the brute-force
-equilibrium search and selection rule on plain (send, *feedback) tuples.
+equilibrium search and selection rule on plain (send, *feedback) tuples,
+and `oracle_run` plays a whole run by the two alone, drawing its sessions
+from the generator that built the population.
 """
 
 import dataclasses
@@ -160,6 +162,50 @@ def oracle_game(cells):
     regret = {bits: sum(max(0.0, g) for g in gains(bits)) for bits in feasible}
     least = min(regret.values())
     return equilibria, min(bits for bits in feasible if regret[bits] == least), True
+
+
+def _copy(w):
+    """A copy of the mirror `w` that a session may write without touching `w`."""
+    return {**w, "k": [list(row) for row in w["k"]], "b": [list(row) for row in w["b"]], "pop": list(w["pop"]),
+            "trust": [list(row) for row in w["trust"]]}
+
+
+def oracle_run(w, rng, n_receivers, params, n_steps):
+    """Play `n_steps` sessions on the mirror `w` in place, every game played and solved by the oracle.
+
+    `rng` is the generator that built the population, read on as a run
+    draws each session: the sender uniformly, then `n_receivers` distinct
+    others by position among the rest (the friend-list order), then an
+    assertion uniformly among the sender's known ones (k > 0); the last
+    two as `rng.choice` draws them. A sender who knows none holds. Otherwise every
+    feasible profile is played by `oracle_session` on a copy of the
+    mirror, `oracle_game` selects one, and that one is played on the
+    mirror. `params` is the dict of `TransferParams` fields. Returns one
+    (sender, receivers, index, profile, payoffs) per step: `payoffs` is the
+    number of distinct sender payoffs among the game's pure equilibria (0
+    for a forced hold), and above 1 the sender's payoff decided.
+    """
+    n = len(w["k"])
+    hold = (False,) * (n_receivers + 1)
+    sends = list(itertools.product((True,), *[(False, True)] * n_receivers))
+    steps = []
+    for _ in range(n_steps):
+        sender = int(rng.integers(n))
+        others = [x for x in range(n) if x != sender]
+        receivers = [others[r] for r in rng.choice(n - 1, size=n_receivers, replace=False)]
+        known = [j for j, k in enumerate(w["k"][sender]) if k > 0.0]
+        index, profile, payoffs = None, hold, set()
+        if known:
+            index = int(rng.choice(known))
+            cells = {}
+            for bits in [hold, *sends]:
+                deltas = oracle_session(_copy(w), sender, receivers, index, bits[0], bits[1:], params)
+                cells[bits] = [deltas[x] for x in (sender, *receivers)]
+            equilibria, profile, _ = oracle_game(cells)
+            payoffs = {cells[bits][0] for bits in equilibria}
+        oracle_session(w, sender, receivers, index, profile[0], profile[1:], params)
+        steps.append((sender, receivers, index, profile, len(payoffs)))
+    return steps
 
 
 def as_oracle_world(world):

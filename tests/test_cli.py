@@ -127,6 +127,15 @@ def test_run_manifest_with_a_non_object_config_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_run_config_that_is_a_json_array_exits_one(tmp_path, capsys):
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([{"n_actors": 10}]))
+    code = main(["run", "--config", str(listed), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "listed.json must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_unwritable_output_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from friendcast import harness
 from friendcast.game import (
     PayoffTensor,
     StrategyProfile,
@@ -17,6 +18,8 @@ from friendcast.game import (
     select_profile,
     select_rows,
 )
+from friendcast.harness import simulate
+from friendcast.scenarios import scenario_config
 from friendcast.transfer import TransferParams, execute_session
 
 from session_oracle import oracle_game
@@ -414,3 +417,27 @@ def test_selection_when_both_sender_actions_are_stable_under_source_weighting():
         if checked == 10:
             break
     assert checked == 10
+
+
+def test_the_sender_payoff_decides_between_equilibria_of_a_real_run(monkeypatch):
+    # Under "source" weighting a comment sways the sender, so a real run
+    # meets games whose pure equilibria pay the sender differently (the
+    # first at step 2,115 of `experts` on seed 1); the highest sender
+    # payoff must decide each, as the brute-force rule does.
+    decided = []
+
+    def checked(tensor):
+        chosen = select_profile(tensor)
+        equilibria = find_pure_nash(tensor)
+        if len({tensor.payoff(e)[0] for e in equilibria}) > 1:
+            keys = [(p.send, *p.feedback) for p in StrategyProfile.enumerate_canonical(tensor.n_receivers)]
+            found, expected, fallback = oracle_game(dict(zip(keys, map(tuple, tensor.payoffs.tolist()))))
+            assert found == [(e.send, *e.feedback) for e in equilibria] and not fallback
+            decided.append(((chosen.send, *chosen.feedback), expected))
+        return chosen
+
+    monkeypatch.setattr(harness, "select_profile", checked)
+    simulate(scenario_config("experts", n_steps=3300, snapshot_every=3300, rng_seed=1))
+    assert len(decided) >= 3
+    for chosen, expected in decided:
+        assert chosen == expected

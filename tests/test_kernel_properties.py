@@ -12,7 +12,8 @@ whether it is played alone or along the cell axis with the others, each
 star of a run as it plays alone once the stars before it are committed,
 and committing a tensor's row must do to the world exactly what playing
 that session does, leaving the kept reputations equal to the trust
-matrix's. A hold commits the forgetting and idle-decay ticks alone.
+matrix's. A hold commits the forgetting and idle-decay ticks alone, and
+a played run's deltas are one read-only stack that its stars share.
 
 Three metamorphic relations need no oracle: relabelling the actors or
 the assertions leaves the tensor unchanged, and under "transferred"
@@ -128,9 +129,9 @@ def test_a_cell_plays_alone_as_it_plays_among_all_cells(game, mode, remembrance)
     world, sender, receivers, index, params = game
     params = dataclasses.replace(params, belief_weight_mode=mode, remembrance=remembrance)
     feasible, _, _, acts = _layout(len(receivers))
-    [star] = play_star(world, [(sender, receivers, index)], params, acts)
+    _, [star] = play_star(world, [(sender, receivers, index)], params, acts)
     for row, cell in enumerate(feasible):
-        [alone] = play_star(world, [(sender, receivers, index)], params, acts[row : row + 1])
+        _, [alone] = play_star(world, [(sender, receivers, index)], params, acts[row : row + 1])
         among = state(star, row)
         for key, value in state(alone, 0).items():
             assert same_bits(value, among[key]), key
@@ -218,9 +219,9 @@ def test_a_run_of_stars_plays_as_its_stars_one_at_a_time(run):
     # alone once the j stars before it are committed, whichever rows they commit.
     world, stars, params, commits = run
     acts = _layout(len(stars[0][1]))[3]
-    together = play_star(world, stars, params, acts)
+    _, together = play_star(world, stars, params, acts)
     for (sender, receivers, index), star, row in zip(stars, together, commits):
-        [alone] = play_star(world, [(sender, receivers, index)], params, acts)
+        _, [alone] = play_star(world, [(sender, receivers, index)], params, acts)
         for key in ("deltas", "knowledge", "belief", "sender_belief", "popularity", "reputation", "trust_in_sender",
                     "trust_in_receivers"):
             assert same_bits(getattr(star, key), getattr(alone, key)), key
@@ -238,7 +239,7 @@ def test_a_hold_commits_the_forgetting_tick_alone(run):
     # each held cell's stored state for the cell's participants.
     world, stars, params, _ = run
     ticked = world.copy()
-    together = play_star(world, stars, params, _layout(len(stars[0][1]))[3])
+    _, together = play_star(world, stars, params, _layout(len(stars[0][1]))[3])
     for (sender, receivers, index), star in zip(stars, together):
         hold = StrategyProfile(False, (False,) * len(receivers), (star, 0))
         execute_session(world, sender, receivers, index, hold, params)
@@ -259,11 +260,27 @@ def test_a_played_star_holds_its_rows_once_per_send_flag_and_the_senders_belief_
     world = make_world(rng.uniform(0, 1, (9, 10)), rng.uniform(-1, 1, (9, 10)), popularity=rng.uniform(0, 1, 9))
     for mode in BELIEF_WEIGHT_MODES:
         params = TransferParams(remembrance=0.9, belief_weight_mode=mode)
-        [star] = play_star(world, [(0, list(range(1, 8)), 3)], params, _layout(7)[3])
+        _, [star] = play_star(world, [(0, list(range(1, 8)), 3)], params, _layout(7)[3])
         assert star.knowledge.shape == star.belief.shape == (7, 10)  # the receivers' rows after a send
         assert star.sender_belief.shape == (129, 10)
         assert star.deltas.shape == star.popularity.shape == star.reputation.shape == (129, 8)
         assert sum(v.nbytes for v in vars(star).values() if isinstance(v, np.ndarray)) < 48 * 1024
+
+
+def test_a_played_run_returns_its_deltas_as_one_read_only_stack():
+    # A tensor's payoffs are its star's deltas, so writing either would move the other.
+    rng = np.random.default_rng(3)
+    world = make_world(rng.uniform(0, 1, (7, 3)), rng.uniform(-1, 1, (7, 3)))
+    deltas, played = play_star(world, [(0, [1, 2], 0), (3, [4, 5], 2)], TransferParams(), _layout(2)[3])
+    assert deltas.shape == (2, 5, 3) and not deltas.flags.writeable
+    for row, star in zip(deltas, played):
+        assert same_bits(star.deltas, row) and np.shares_memory(star.deltas, deltas)
+    tensor = build_payoff_tensor(world, 0, [1, 2], 0, TransferParams())
+    before = tensor.payoffs.copy()
+    for payoffs in (tensor.star.deltas, tensor.payoffs):
+        with pytest.raises(ValueError, match="read-only"):
+            payoffs[1, 0] = 5.0
+    assert same_bits(tensor.payoffs, before)
 
 
 def disagreeing_world():
@@ -323,15 +340,15 @@ def test_one_flag_pattern_plays_each_decay_rate_as_the_oracle_does():
                        popularity=rng.uniform(0, 1, 4))
     for decay in (0.25, 0.5):
         params = TransferParams(popularity_decay=decay, belief_weight_mode="source")
-        [star] = play_star(world, [(0, [1, 2], 1)], params, [(True, True, False)])
+        _, [star] = play_star(world, [(0, [1, 2], 1)], params, [(True, True, False)])
         expected, mirror = replay(world, 0, [1, 2], 1, True, (True, False), params)
         assert max(abs(d - expected[p]) for d, p in zip(star.deltas[0].tolist(), (0, 1, 2))) <= EXACT
         assert np.abs(star.popularity[0] - np.array(mirror["pop"][:3])).max() <= EXACT
     # Each row of a star whose sending rows are not consecutive plays as it does alone.
     rows = [(True, True, False), (False, False, False), (True, False, True)]
-    [star] = play_star(world, [(0, [1, 2], 1)], params, rows)
+    _, [star] = play_star(world, [(0, [1, 2], 1)], params, rows)
     for row, flags in enumerate(rows):
-        [alone] = play_star(world, [(0, [1, 2], 1)], params, [flags])
+        _, [alone] = play_star(world, [(0, [1, 2], 1)], params, [flags])
         among = state(star, row)
         for key, value in state(alone, 0).items():
             assert same_bits(value, among[key]), key

@@ -271,6 +271,21 @@ def test_feedback_never_changes_sender_knowledge():
             assert np.array_equal(world.knowledge[0], after_send_k)
 
 
+def test_an_unknown_belief_weight_mode_is_rejected():
+    with pytest.raises(ValueError, match="unknown belief weight mode 'x'"):
+        TransferParams(belief_weight_mode="x")
+
+
+@pytest.mark.parametrize("feedback", [(True,), (False, False, False)])
+def test_a_profile_for_another_receiver_count_is_rejected(feedback):
+    world = _micro_world()
+    before = world.copy()
+    with pytest.raises(ValueError, match="profile length does not match"):
+        execute_session(world, 0, [1, 2], 0, StrategyProfile(True, feedback), TransferParams())
+    for key in ("knowledge", "belief", "popularity", "trust"):
+        assert np.array_equal(getattr(world, key), getattr(before, key))
+
+
 def test_infeasible_profile_is_rejected():
     world = _micro_world()
     with pytest.raises(ValueError):

@@ -90,3 +90,15 @@ def test_trust_matrix_validation():
         make_world([[0.5]] * 2, [[1.0]] * 2, trust=[[1.0, 0.5], [0.5, 0.8]]).validate()  # diagonal not 1
     with pytest.raises(ValueError):
         make_world([[0.5]] * 2, [[1.0]] * 2, trust=[[1.0, 1.5], [0.0, 1.0]]).validate()  # entry out of range
+
+
+@pytest.mark.parametrize("key, value", [
+    ("knowledge", -0.25), ("knowledge", 1.25), ("belief", -1.25), ("belief", 1.25), ("popularity", -0.25),
+    ("popularity", 1.25),
+])
+def test_state_out_of_range_fails_validation(key, value):
+    world = make_world([[0.5]] * 2, [[1.0]] * 2)
+    world.validate()
+    getattr(world, key)[1] = value
+    with pytest.raises(ValueError, match=f"^{key} .*outside"):
+        world.validate()
